@@ -34,9 +34,11 @@ type Signature struct {
 	// EqConstNums holds, parallel to EqCols, the placeholder number
 	// supplying each key component.
 	EqConstNums []int
-	// RangeCol, when EqCols is empty and a single-atom range clause
-	// exists, is the bound column index of the first such clause;
-	// otherwise -1.
+	// RangeCol is the bound column index of the first single-atom range
+	// clause, or -1 if there is none. Without equality atoms the range
+	// bound alone drives the lookup; with them it orders the members
+	// that share an equality key, so the key is probed first and the
+	// bound last, as in a clustered index on [eq consts.., range const].
 	RangeCol int
 	// RangeOp is the comparison of that clause, normalized so the column
 	// is on the left (e.g. 50 < salary becomes salary > 50).
@@ -57,7 +59,8 @@ const (
 	// be evaluated against the token.
 	IndexNone Indexability = iota
 	// IndexEquality means the composite equality key [const1..constK]
-	// drives an exact-match lookup.
+	// drives an exact-match lookup. A range bound (RangeCol >= 0), if
+	// present, then narrows the members under that key.
 	IndexEquality
 	// IndexRange means a single comparison bound drives an interval
 	// stab query.
@@ -128,31 +131,22 @@ func ExtractSignature(c CNF) (*Signature, []types.Value, error) {
 	sig.NumConstants = next - 1
 
 	// Indexable split: single-atom clauses of form col = CONSTANT_k form
-	// a composite equality key. Failing that, the first single-atom
-	// range clause col {<,<=,>,>=} CONSTANT_k is range-indexable.
+	// a composite equality key, and the first single-atom range clause
+	// col {<,<=,>,>=} CONSTANT_k supplies the range bound.
 	var rest []Clause
 	for _, cl := range gen.Clauses {
-		if col, op, num, ok := indexableAtom(cl); ok && op == OpEq {
+		col, op, num, ok := indexableAtom(cl)
+		switch {
+		case ok && op == OpEq:
 			sig.EqCols = append(sig.EqCols, col)
 			sig.EqConstNums = append(sig.EqConstNums, num)
-			continue
+		case ok && sig.RangeCol < 0 && op != OpNe && op != OpLike:
+			sig.RangeCol = col
+			sig.RangeOp = op
+			sig.RangeConstNum = num
+		default:
+			rest = append(rest, cl)
 		}
-		rest = append(rest, cl)
-	}
-	if len(sig.EqCols) == 0 {
-		kept := rest[:0]
-		for _, cl := range rest {
-			if sig.RangeCol < 0 {
-				if col, op, num, ok := indexableAtom(cl); ok && op != OpEq && op != OpNe && op != OpLike {
-					sig.RangeCol = col
-					sig.RangeOp = op
-					sig.RangeConstNum = num
-					continue
-				}
-			}
-			kept = append(kept, cl)
-		}
-		rest = kept
 	}
 	sig.Rest = CNF{Clauses: rest}
 	sig.canonical = canonicalText(gen)
@@ -219,7 +213,7 @@ func indexableAtom(cl Clause) (col int, op Op, constNum int, ok bool) {
 		return c.ColIdx, b.Op, p.Num, c.ColIdx >= 0 && !c.Old
 	}
 	if c, p, good := colAndPlaceholder(b.Right, b.Left); good {
-		return c.ColIdx, flip(b.Op), p.Num, c.ColIdx >= 0 && !c.Old
+		return c.ColIdx, Flip(b.Op), p.Num, c.ColIdx >= 0 && !c.Old
 	}
 	return 0, 0, 0, false
 }
@@ -233,8 +227,8 @@ func colAndPlaceholder(a, b Node) (*ColumnRef, *Placeholder, bool) {
 	return nil, nil, false
 }
 
-// flip mirrors a comparison across its operands (a < b  <=>  b > a).
-func flip(o Op) Op {
+// Flip mirrors a comparison across its operands (a < b  <=>  b > a).
+func Flip(o Op) Op {
 	switch o {
 	case OpLt:
 		return OpGt

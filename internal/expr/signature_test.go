@@ -119,16 +119,38 @@ func TestSignatureFlippedComparison(t *testing.T) {
 }
 
 func TestSignatureMixedIndexableSplit(t *testing.T) {
-	// dept='eng' AND salary > 50000: equality drives the index, range
-	// clause becomes rest-of-predicate (E_NI).
+	// dept='eng' AND salary > 50000: the equality drives the key and the
+	// range clause supplies the bound, so nothing is left to test per
+	// expression.
 	n := And(Cmp(OpEq, Col("emp", "dept"), Str("eng")),
 		Cmp(OpGt, Col("emp", "salary"), Int(50000)))
-	sig, consts, err := ExtractSignature(mkSelCNF(t, n))
+	sig, _, err := ExtractSignature(mkSelCNF(t, n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sig.Indexability() != IndexEquality {
 		t.Fatalf("indexability = %s", sig.Indexability())
+	}
+	if len(sig.EqCols) != 1 || sig.EqCols[0] != empCols["dept"] || sig.EqConstNums[0] != 1 {
+		t.Errorf("eq cols = %v nums = %v", sig.EqCols, sig.EqConstNums)
+	}
+	if sig.RangeCol != empCols["salary"] || sig.RangeOp != OpGt || sig.RangeConstNum != 2 {
+		t.Errorf("range: col=%d op=%s num=%d", sig.RangeCol, sig.RangeOp, sig.RangeConstNum)
+	}
+	if len(sig.Rest.Clauses) != 0 {
+		t.Errorf("rest should be empty: %s", sig.Rest)
+	}
+
+	// dept='eng' AND (salary > 50000 OR name = 'x'): the disjunction is
+	// the non-indexable rest (E_NI).
+	n = And(Cmp(OpEq, Col("emp", "dept"), Str("eng")),
+		Or(Cmp(OpGt, Col("emp", "salary"), Int(50000)), Cmp(OpEq, Col("emp", "name"), Str("x"))))
+	sig, consts, err := ExtractSignature(mkSelCNF(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sig.Indexability() != IndexEquality || sig.RangeCol != -1 {
+		t.Fatalf("indexability = %s, range col = %d", sig.Indexability(), sig.RangeCol)
 	}
 	if len(sig.Rest.Clauses) != 1 {
 		t.Fatalf("rest = %s", sig.Rest)
@@ -147,6 +169,28 @@ func TestSignatureMixedIndexableSplit(t *testing.T) {
 	env2 := SingleEnv{New: types.Tuple{types.NewString("Bob"), types.NewInt(40000), types.NewString("eng")}}
 	if got, _ := EvalPredicate(rest.Node(), env2); got != False {
 		t.Errorf("rest eval low salary = %s", got)
+	}
+}
+
+func TestSignatureEqualityRangeFlippedAndFirstRangeOnly(t *testing.T) {
+	// 100 < salary AND dept = 'eng' AND salary <= 900: the flipped bound
+	// normalizes to salary > $1 and is the one indexed; the second range
+	// clause stays in the rest.
+	n := And(And(Cmp(OpLt, Int(100), Col("emp", "salary")),
+		Cmp(OpEq, Col("emp", "dept"), Str("eng"))),
+		Cmp(OpLe, Col("emp", "salary"), Int(900)))
+	sig, _, err := ExtractSignature(mkSelCNF(t, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sig.Indexability() != IndexEquality || sig.EqConstNums[0] != 2 {
+		t.Fatalf("indexability = %s eq nums = %v", sig.Indexability(), sig.EqConstNums)
+	}
+	if sig.RangeCol != empCols["salary"] || sig.RangeOp != OpGt || sig.RangeConstNum != 1 {
+		t.Errorf("range: col=%d op=%s num=%d", sig.RangeCol, sig.RangeOp, sig.RangeConstNum)
+	}
+	if len(sig.Rest.Clauses) != 1 {
+		t.Errorf("rest = %s, want the second range clause", sig.Rest)
 	}
 }
 

@@ -3,6 +3,8 @@ package minisql
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"triggerman/internal/expr"
@@ -84,14 +86,18 @@ type plan struct {
 	index *Index
 	// eqKey, when set, is an exact composite key probe.
 	eqKey []byte
-	// lo/hi bound a single-column range scan on index.Columns[0];
-	// nil end means unbounded. loStrict/hiStrict exclude the endpoint.
-	lo, hi             *types.Value
-	loStrict, hiStrict bool
+	// Otherwise the plan scans the index entries whose leading columns
+	// match the encoded equality prefix and whose next column lies in
+	// [lo, hi]; a nil end is unbounded. The scan keeps both endpoints
+	// whatever the operators: the caller re-checks the WHERE clause, and
+	// integers beyond 2^53 share their encoded key with a neighbour.
+	prefix []byte
+	lo, hi *types.Value
 }
 
-// choosePlan looks for an index that can serve the WHERE clause: first a
-// full composite equality match, then a single-column range.
+// choosePlan looks for an index that can serve the WHERE clause: a full
+// composite equality match, or else the index whose leading columns
+// take the most equality atoms, with a range on the column after them.
 func (t *Table) choosePlan(where expr.Node) *plan {
 	if where == nil {
 		return nil
@@ -119,64 +125,59 @@ func (t *Table) choosePlan(where expr.Node) *plan {
 		if !ok {
 			continue
 		}
-		if op == expr.OpEq {
+		switch {
+		case op == expr.OpEq:
 			eq[col] = val
-		} else {
+		case scannable(val):
 			ranges[col] = append(ranges[col], rng{val, op})
 		}
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	// Full composite equality.
+	var best *plan
+	bestScore := 0
 	for _, ix := range t.indexes {
 		key := make(types.Tuple, 0, len(ix.Columns))
-		ok := true
 		for _, c := range ix.Columns {
 			v, has := eq[c]
 			if !has {
-				ok = false
 				break
 			}
 			key = append(key, v)
 		}
-		if ok {
+		if len(key) == len(ix.Columns) {
 			return &plan{index: ix, eqKey: types.EncodeKey(nil, key)}
 		}
-	}
-	// Single-column range on an index prefix.
-	for _, ix := range t.indexes {
-		c := ix.Columns[0]
-		rs := ranges[c]
-		if len(rs) == 0 {
-			continue
-		}
-		p := &plan{index: ix}
-		for _, r := range rs {
+		p := &plan{index: ix, prefix: types.EncodeKey(nil, key)}
+		for _, r := range ranges[ix.Columns[len(key)]] {
 			v := r.val
 			switch r.op {
-			case expr.OpGt:
+			case expr.OpGt, expr.OpGe:
 				if p.lo == nil || types.Compare(v, *p.lo) > 0 {
-					p.lo, p.loStrict = &v, true
+					p.lo = &v
 				}
-			case expr.OpGe:
-				if p.lo == nil || types.Compare(v, *p.lo) > 0 {
-					p.lo, p.loStrict = &v, false
-				}
-			case expr.OpLt:
+			case expr.OpLt, expr.OpLe:
 				if p.hi == nil || types.Compare(v, *p.hi) < 0 {
-					p.hi, p.hiStrict = &v, true
-				}
-			case expr.OpLe:
-				if p.hi == nil || types.Compare(v, *p.hi) < 0 {
-					p.hi, p.hiStrict = &v, false
+					p.hi = &v
 				}
 			}
 		}
+		score := 2 * len(key)
 		if p.lo != nil || p.hi != nil {
-			return p
+			score++
+		}
+		if score > bestScore {
+			best, bestScore = p, score
 		}
 	}
-	return nil
+	return best
+}
+
+// scannable reports whether a range constant can bound an index scan:
+// NULL matches nothing, and NaN compares equal to every number, so
+// neither has a place in the key order.
+func scannable(v types.Value) bool {
+	return !v.IsNull() && !(v.Kind() == types.KindFloat && math.IsNaN(v.Float()))
 }
 
 // colConst recognizes column-vs-constant comparisons, normalizing the
@@ -230,26 +231,19 @@ func (t *Table) candidates(p *plan, fn func(rid storage.RID, tu types.Tuple) boo
 		}
 		return nil
 	}
-	// Range scan.
-	var start []byte
+	// Prefix and range scan.
+	start := p.prefix
 	if p.lo != nil {
-		start = types.EncodeKey(nil, types.Tuple{*p.lo})
-		if p.loStrict {
-			// Successor of all keys with this prefix: append 0xFF guard.
-			start = append(start, 0xFF)
-		}
+		start = types.EncodeKey(slices.Clip(p.prefix), types.Tuple{*p.lo})
 	}
-	var hiKey []byte
+	stop := p.prefix
 	if p.hi != nil {
-		hiKey = types.EncodeKey(nil, types.Tuple{*p.hi})
+		stop = types.EncodeKey(slices.Clip(p.prefix), types.Tuple{*p.hi})
 	}
 	var ierr error
 	err := p.index.tree.Scan(start, func(k []byte, v uint64) bool {
-		if hiKey != nil {
-			c := bytes.Compare(truncateTo(k, hiKey), hiKey)
-			if c > 0 || (c == 0 && p.hiStrict) {
-				return false
-			}
+		if len(stop) > 0 && bytes.Compare(truncateTo(k, stop), stop) > 0 {
+			return false
 		}
 		rid := storage.UnpackRID(v)
 		tu, err := t.Get(rid)
@@ -268,7 +262,7 @@ func (t *Table) candidates(p *plan, fn func(rid storage.RID, tu types.Tuple) boo
 }
 
 // truncateTo cuts k to at most the length of bound for prefix compare
-// (composite index keys extend past the single-column bound).
+// (composite index keys extend past the bound's columns).
 func truncateTo(k, bound []byte) []byte {
 	if len(k) > len(bound) {
 		return k[:len(bound)]

@@ -2,6 +2,8 @@ package minisql
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"triggerman/internal/storage"
@@ -426,5 +428,72 @@ func TestUpdateRelocationMaintainsIndex(t *testing.T) {
 	res, _ := db.Exec("select id from big where id = 3")
 	if res.IndexUsed != "big_id" || len(res.Rows) != 1 {
 		t.Errorf("post-relocation: used=%q rows=%d", res.IndexUsed, len(res.Rows))
+	}
+}
+
+// TestCompositeIndexPrefixRange checks the plan that serves an equality
+// prefix of a composite index plus a range on the next column: every
+// query must return exactly the rows a full scan returns, and the ones
+// with an equality on the leading column must use the index.
+func TestCompositeIndexPrefixRange(t *testing.T) {
+	indexed, plain := newDB(t), newDB(t)
+	tab := empTable(t, indexed)
+	empTable(t, plain)
+	const big = 1 << 53
+	salaries := []int64{-5, 0, 1, 999, 1000, 1001, 15000, 20000, 20000, 29999, 30000, big - 1, big, big + 1, big + 2}
+	for d := 0; d < 3; d++ {
+		for i, s := range salaries {
+			stmt := fmt.Sprintf("insert into emp values ('e%d_%d', %d, 'd%d')", d, i, s, d)
+			for _, db := range []*DB{indexed, plain} {
+				if _, err := db.Exec(stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if _, err := tab.CreateIndex("emp_dept_sal", "dept", "salary"); err != nil {
+		t.Fatal(err)
+	}
+	names := func(res *Result) []string {
+		var out []string
+		for _, r := range res.Rows {
+			out = append(out, r[0].Str())
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, tc := range []struct {
+		where string
+		index bool
+	}{
+		{"dept = 'd1' and salary > 1000", true},
+		{"dept = 'd1' and salary >= 1000", true},
+		{"dept = 'd1' and salary < 20000", true},
+		{"dept = 'd1' and salary <= 20000", true},
+		{"dept = 'd1' and salary >= 1000 and salary < 30000", true},
+		{"dept = 'd2' and 1000 < salary", true},
+		{"dept = 'd2' and salary > 14999.5", true},
+		{"dept = 'd0' and salary > 9007199254740992", true},
+		{"dept = 'd0' and salary >= 9007199254740993", true},
+		{"dept = 'd0' and salary < 9007199254740993", true},
+		{"dept = 'd2'", true},
+		{"dept = 'd9' and salary > 0", true},
+		{"salary > 1000", false},
+	} {
+		q := "select name from emp where " + tc.where
+		got, err := indexed.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.where, err)
+		}
+		want, err := plain.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.where, err)
+		}
+		if g, w := names(got), names(want); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: rows %v, want %v", tc.where, g, w)
+		}
+		if used := got.IndexUsed == "emp_dept_sal"; used != tc.index {
+			t.Errorf("%s: index used = %q, want used=%v", tc.where, got.IndexUsed, tc.index)
+		}
 	}
 }

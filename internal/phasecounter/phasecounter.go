@@ -46,6 +46,13 @@ const promoteSwitches = 8
 // back.
 const demoteIdleEpochs = 3
 
+// demoteIdleFor is the wall-time floor under demoteIdleEpochs: a
+// sliced counter demotes only once it has also seen no sliced activity
+// for this long. Epochs are as short as the reconciler makes them, so
+// without the floor a reconciler that ticks back to back could demote
+// a counter whose writers merely paused for a few microseconds.
+const demoteIdleFor = 250 * time.Millisecond
+
 // NoSlot is the slot value for callers with no driver identity (a
 // synchronous embedder, a control-plane goroutine): their updates stay
 // on the plain path, which is always correct, just not sliced.
@@ -92,9 +99,13 @@ type block struct {
 	folds atomic.Int64
 	// lastFold is the wall clock of the latest fold (unix nanos).
 	lastFold atomic.Int64
-	// idle counts consecutive zero-delta epochs; touched only by the
-	// reconciler.
-	idle int
+	// idle counts consecutive zero-delta epochs and activeAt is the
+	// unix-nano time of the last epoch with sliced activity (or of the
+	// promotion). The reconciler owns both while the block is live and
+	// Split's re-arm owns them while it is demoted; the demoted flag
+	// hands them over.
+	idle     int
+	activeAt int64
 }
 
 // Counter is a phase-reconciled int64. The zero value is a plain
@@ -153,14 +164,16 @@ func (c *Counter) Split(d *Domain) {
 	if b := c.block.Load(); b != nil {
 		if b.demoted.Load() {
 			b.idle = 0
+			b.activeAt = time.Now().UnixNano()
 			b.demoted.Store(false)
 			c.switches.Store(0)
 			d.promotions.Add(1)
 		}
 		return
 	}
-	b := &block{slots: make([]slotCell, d.slots)}
-	b.lastFold.Store(time.Now().UnixNano())
+	now := time.Now().UnixNano()
+	b := &block{slots: make([]slotCell, d.slots), activeAt: now}
+	b.lastFold.Store(now)
 	c.switches.Store(0)
 	c.block.Store(b)
 	d.reg = append(d.reg, c)
@@ -279,9 +292,10 @@ func (d *Domain) Slots() int {
 
 // Reconcile runs one epoch: every promoted counter's slice deltas fold
 // into its base cell and its reconciled reading refreshes; counters
-// cold for demoteIdleEpochs epochs demote to plain. Exactness: a slice
-// delta is captured by the fold's Swap or remains in the slice for the
-// next fold — it is never dropped, even for demoted blocks.
+// cold for demoteIdleEpochs epochs and for demoteIdleFor demote to
+// plain. Exactness: a slice delta is captured by the fold's Swap or
+// remains in the slice for the next fold — it is never dropped, even
+// for demoted blocks.
 func (d *Domain) Reconcile() {
 	if d == nil {
 		return
@@ -304,12 +318,13 @@ func (d *Domain) Reconcile() {
 		b.lastFold.Store(now)
 		if !b.demoted.Load() {
 			if delta == 0 {
-				if b.idle++; b.idle >= demoteIdleEpochs {
+				if b.idle++; b.idle >= demoteIdleEpochs && now-b.activeAt >= int64(demoteIdleFor) {
 					b.demoted.Store(true)
 					d.demotions.Add(1)
 				}
 			} else {
 				b.idle = 0
+				b.activeAt = now
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPlainCounterBasics(t *testing.T) {
@@ -90,12 +91,31 @@ func TestContentionPromotes(t *testing.T) {
 	}
 }
 
+// TestSpinningReconcilerKeepsRecentCounterSliced: epochs ticked back to
+// back are no evidence that a counter went cold, so a counter active
+// moments ago stays sliced however many idle epochs pass before the
+// wall-time floor.
+func TestSpinningReconcilerKeepsRecentCounterSliced(t *testing.T) {
+	d := NewDomain(2)
+	var c Counter
+	c.Split(d)
+	c.Add(d, 0, 1)
+	for i := 0; i < 100*demoteIdleEpochs; i++ {
+		d.Reconcile()
+	}
+	if c.Phase() != PhaseSliced || d.Stats().Demotions != 0 {
+		t.Fatalf("phase = %s, demotions = %d after a burst of idle epochs; want sliced, 0",
+			c.Phase(), d.Stats().Demotions)
+	}
+}
+
 func TestDemoteAfterIdleAndRepromote(t *testing.T) {
 	d := NewDomain(2)
 	var c Counter
 	c.Split(d)
 	c.Add(d, 0, 7)
 	d.Reconcile() // folds 7, idle=0
+	time.Sleep(demoteIdleFor)
 	for i := 0; i < demoteIdleEpochs; i++ {
 		d.Reconcile()
 	}

@@ -2,6 +2,8 @@ package predindex
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -52,23 +54,40 @@ type centry struct {
 	consts types.Tuple
 	eqKey  []byte // set for equality signatures
 	parts  [][]Ref
+	// bounds is set on the memory index's entries of an
+	// equality-plus-range signature: bounds[p][i] is the range constant
+	// of parts[p][i], each partition is kept ordered by it (see
+	// ordered), and op is the signature's range operator.
+	bounds [][]types.Value
+	op     expr.Op
 	rr     int // round-robin cursor for partition assignment
 
 	cProbes  phasecounter.Counter
 	cMatches phasecounter.Counter
 }
 
-func (c *centry) addRef(ref Ref) {
-	i := c.rr % len(c.parts)
-	c.parts[i] = append(c.parts[i], ref)
+// addRef appends ref to the next partition; bound is its range constant
+// and is kept only by bounded entries.
+func (c *centry) addRef(ref Ref, bound types.Value) {
+	p := c.rr % len(c.parts)
 	c.rr++
+	if c.bounds == nil {
+		c.parts[p] = append(c.parts[p], ref)
+		return
+	}
+	i := boundInsertPos(c.bounds[p], bound)
+	c.parts[p] = slices.Insert(c.parts[p], i, ref)
+	c.bounds[p] = slices.Insert(c.bounds[p], i, bound)
 }
 
 func (c *centry) removeRef(exprID uint64) bool {
 	for pi, p := range c.parts {
 		for i, r := range p {
 			if r.ExprID == exprID {
-				c.parts[pi] = append(p[:i], p[i+1:]...)
+				c.parts[pi] = slices.Delete(p, i, i+1)
+				if c.bounds != nil {
+					c.bounds[pi] = slices.Delete(c.bounds[pi], i, i+1)
+				}
 				return true
 			}
 		}
@@ -79,11 +98,12 @@ func (c *centry) removeRef(exprID uint64) bool {
 // emitCounted charges the centry's phase-reconciled probe/match stats
 // and streams the selected partition(s). The probe charge lands before
 // emission (a token consulted this constant); the match charge batches
-// the streamed-ref count in one add.
-func (c *centry) emitCounted(part int, pc probe, emit func(Ref) bool) bool {
+// the streamed-ref count in one add. v is the token's range-column
+// value; only bounded entries read it.
+func (c *centry) emitCounted(part int, v types.Value, pc probe, emit func(Ref) bool) bool {
 	c.cProbes.Add(pc.dom, pc.slot, 1)
 	var n int64
-	ok := c.emit(part, func(r Ref) bool {
+	ok := c.emit(part, v, func(r Ref) bool {
 		n++
 		return emit(r)
 	})
@@ -93,20 +113,60 @@ func (c *centry) emitCounted(part int, pc probe, emit func(Ref) bool) bool {
 	return ok
 }
 
-func (c *centry) emit(part int, emit func(Ref) bool) bool {
+func (c *centry) emit(part int, v types.Value, emit func(Ref) bool) bool {
 	if part >= 0 {
-		for _, r := range c.parts[part%len(c.parts)] {
+		return c.emitPart(part%len(c.parts), v, emit)
+	}
+	for p := range c.parts {
+		if !c.emitPart(p, v, emit) {
+			return false
+		}
+	}
+	return true
+}
+
+// emitPart streams partition p. On a bounded entry the refs whose bound
+// accepts v form one contiguous run of the ordered prefix, found by
+// binary search; only bounds outside the order (see ordered) are
+// tested one by one.
+func (c *centry) emitPart(p int, v types.Value, emit func(Ref) bool) bool {
+	refs := c.parts[p]
+	if c.bounds == nil {
+		for _, r := range refs {
 			if !emit(r) {
 				return false
 			}
 		}
 		return true
 	}
-	for _, p := range c.parts {
-		for _, r := range p {
+	if v.IsNull() {
+		return true
+	}
+	bounds := c.bounds[p]
+	start := 0
+	if ordered(v) {
+		n := orderedLen(bounds)
+		lo, hi := 0, n
+		switch c.op {
+		case expr.OpGt: // bound < v
+			hi = searchBounds(bounds[:n], v, false)
+		case expr.OpGe: // bound <= v
+			hi = searchBounds(bounds[:n], v, true)
+		case expr.OpLt: // bound > v
+			lo = searchBounds(bounds[:n], v, true)
+		case expr.OpLe: // bound >= v
+			lo = searchBounds(bounds[:n], v, false)
+		}
+		for _, r := range refs[lo:hi] {
 			if !emit(r) {
 				return false
 			}
+		}
+		start = n
+	}
+	for i := start; i < len(bounds); i++ {
+		if boundAccepts(c.op, v, bounds[i]) && !emit(refs[i]) {
+			return false
 		}
 	}
 	return true
@@ -122,14 +182,89 @@ func (c *centry) refCount() int {
 
 func (c *centry) repartition(n int) {
 	var all []Ref
-	for _, p := range c.parts {
-		all = append(all, p...)
+	var allBounds []types.Value
+	for p := range c.parts {
+		all = append(all, c.parts[p]...)
+		if c.bounds != nil {
+			allBounds = append(allBounds, c.bounds[p]...)
+		}
 	}
 	c.parts = make([][]Ref, n)
-	c.rr = 0
-	for _, r := range all {
-		c.addRef(r)
+	if c.bounds != nil {
+		c.bounds = make([][]types.Value, n)
 	}
+	c.rr = 0
+	for i, r := range all {
+		var b types.Value
+		if allBounds != nil {
+			b = allBounds[i]
+		}
+		c.addRef(r, b)
+	}
+}
+
+// ordered reports whether v has a place in the bound order. A bounded
+// entry keeps each partition's ordered bounds ascending under
+// types.Compare, followed by the bounds Compare cannot order
+// consistently — NULL, NaN and integers beyond ±2^53, which compare
+// inexactly against floats. Over the ordered prefix, Compare(bound, v)
+// never decreases for an ordered token value v, so the bounds a range
+// operator accepts form one contiguous run.
+func ordered(v types.Value) bool {
+	switch v.Kind() {
+	case types.KindNull:
+		return false
+	case types.KindInt:
+		i := v.Int()
+		return i >= -1<<53 && i <= 1<<53
+	case types.KindFloat:
+		return !math.IsNaN(v.Float())
+	default:
+		return true
+	}
+}
+
+// orderedLen returns the length of the ordered prefix of bounds.
+func orderedLen(bounds []types.Value) int {
+	return sort.Search(len(bounds), func(i int) bool { return !ordered(bounds[i]) })
+}
+
+// searchBounds returns the first index of the ascending bounds whose
+// bound is >= v, or > v when after is set.
+func searchBounds(bounds []types.Value, v types.Value, after bool) int {
+	return sort.Search(len(bounds), func(i int) bool {
+		c := types.Compare(bounds[i], v)
+		return c > 0 || (c == 0 && !after)
+	})
+}
+
+// boundInsertPos places bound after every equal ordered bound, or at
+// the tail when it is not ordered.
+func boundInsertPos(bounds []types.Value, bound types.Value) int {
+	if !ordered(bound) {
+		return len(bounds)
+	}
+	return searchBounds(bounds[:orderedLen(bounds)], bound, true)
+}
+
+// boundAccepts reports whether a token value v satisfies "col op bound"
+// with expr's comparison semantics: NULL on either side never matches.
+func boundAccepts(op expr.Op, v, bound types.Value) bool {
+	if v.IsNull() || bound.IsNull() {
+		return false
+	}
+	cmp := types.Compare(v, bound)
+	switch op {
+	case expr.OpGt:
+		return cmp > 0
+	case expr.OpGe:
+		return cmp >= 0
+	case expr.OpLt:
+		return cmp < 0
+	case expr.OpLe:
+		return cmp <= 0
+	}
+	return false
 }
 
 // collectHot gathers the sliced centries seen by visit, hottest first,
@@ -156,34 +291,17 @@ func collectHot(max int, visit func(fn func(*centry))) []HotConst {
 }
 
 // matchesIndexable tests the signature's indexable part for one constant
-// entry against a token tuple.
+// entry against a token tuple: the equality key, then the range bound.
+// With nothing indexable every member is a candidate and rest testing
+// does all the work.
 func matchesIndexable(sig *expr.Signature, c *centry, tuple types.Tuple, eqProbe []byte) bool {
-	switch sig.Indexability() {
-	case expr.IndexEquality:
-		return string(c.eqKey) == string(eqProbe)
-	case expr.IndexRange:
-		v := tuple.Get(sig.RangeCol)
-		bound := c.consts[sig.RangeConstNum-1]
-		if v.IsNull() {
-			return false
-		}
-		cmp := types.Compare(v, bound)
-		switch sig.RangeOp {
-		case expr.OpGt:
-			return cmp > 0
-		case expr.OpGe:
-			return cmp >= 0
-		case expr.OpLt:
-			return cmp < 0
-		case expr.OpLe:
-			return cmp <= 0
-		}
+	if sig.Indexability() == expr.IndexEquality && string(c.eqKey) != string(eqProbe) {
 		return false
-	default:
-		// Nothing indexable: every member is a candidate; rest testing
-		// does all the work.
+	}
+	if sig.RangeCol < 0 {
 		return true
 	}
+	return boundAccepts(sig.RangeOp, tuple.Get(sig.RangeCol), c.consts[sig.RangeConstNum-1])
 }
 
 func eqProbeFor(sig *expr.Signature, tuple types.Tuple) []byte {
@@ -233,7 +351,7 @@ func (m *memList) add(consts types.Tuple, ref Ref) error {
 		m.entries = append(m.entries, c)
 		m.dedup[ck] = c
 	}
-	c.addRef(ref)
+	c.addRef(ref, types.Value{})
 	return nil
 }
 
@@ -261,7 +379,7 @@ func (m *memList) match(tuple types.Tuple, part int, pc probe, emit func(Ref) bo
 	for _, c := range m.entries {
 		compares++
 		if matchesIndexable(m.sig, c, tuple, eqp) {
-			if !c.emitCounted(part, pc, emit) {
+			if !c.emitCounted(part, types.Value{}, pc, emit) {
 				break
 			}
 		}
@@ -306,24 +424,28 @@ func (m *memList) hotConstants(max int) []HotConst {
 
 // memIndex uses a hash table for equality signatures, an interval skip
 // list for range signatures, and degrades to a list for non-indexable
-// signatures (no index can help them).
+// signatures (no index can help them). An equality signature with a
+// range bound keeps each key's refs ordered by bound, so a probe is one
+// hash lookup, one binary search and one contiguous run of emits.
 type memIndex struct {
-	sig     *expr.Signature
-	byKey   map[string]*centry // equality
-	isl     *intervalskiplist.List
-	byID    map[uint64]*centry // interval ID -> entry
-	byConst map[string]*centry // encoded constant tuple -> entry (range/plain)
-	plain   []*centry          // non-indexable
-	nextID  uint64
-	nparts  int
+	sig      *expr.Signature
+	rangeCol string             // range column name, for describe
+	byKey    map[string]*centry // equality
+	isl      *intervalskiplist.List
+	byID     map[uint64]*centry // interval ID -> entry
+	byConst  map[string]*centry // encoded constant tuple -> entry (range/plain)
+	plain    []*centry          // non-indexable
+	nextID   uint64
+	nparts   int
 }
 
-func newMemIndex(sig *expr.Signature) *memIndex {
+func newMemIndex(sig *expr.Signature, schema *types.Schema) *memIndex {
 	m := &memIndex{
-		sig:     sig,
-		nparts:  1,
-		byID:    make(map[uint64]*centry),
-		byConst: make(map[string]*centry),
+		sig:      sig,
+		rangeCol: columnName(schema, sig.RangeCol),
+		nparts:   1,
+		byID:     make(map[uint64]*centry),
+		byConst:  make(map[string]*centry),
 	}
 	switch sig.Indexability() {
 	case expr.IndexEquality:
@@ -334,8 +456,11 @@ func newMemIndex(sig *expr.Signature) *memIndex {
 	return m
 }
 
+// constTupleKey identifies an exact constant tuple. It uses the tuple
+// encoding, not the order-preserving key, which maps ints through
+// float64 and so merges distinct integers beyond 2^53.
 func constTupleKey(consts types.Tuple) string {
-	return string(types.EncodeKey(nil, consts))
+	return string(types.EncodeTuple(nil, consts))
 }
 
 func (m *memIndex) intervalFor(id uint64, bound types.Value) intervalskiplist.Interval {
@@ -362,20 +487,24 @@ func (m *memIndex) add(consts types.Tuple, ref Ref) error {
 		if !ok {
 			m.nextID++
 			c = &centry{id: m.nextID, consts: consts.Clone(), eqKey: key, parts: make([][]Ref, m.nparts)}
+			if m.sig.RangeCol >= 0 {
+				c.bounds = make([][]types.Value, m.nparts)
+				c.op = m.sig.RangeOp
+			}
 			m.byKey[string(key)] = c
 		}
-		c.addRef(ref)
+		c.addRef(ref, m.rangeBound(consts))
 		return nil
 	case expr.IndexRange:
 		bound := consts[m.sig.RangeConstNum-1]
 		ck := constTupleKey(consts)
 		if c, ok := m.byConst[ck]; ok {
-			c.addRef(ref)
+			c.addRef(ref, types.Value{})
 			return nil
 		}
 		m.nextID++
 		c := &centry{id: m.nextID, consts: consts.Clone(), parts: make([][]Ref, m.nparts)}
-		c.addRef(ref)
+		c.addRef(ref, types.Value{})
 		if err := m.isl.Insert(m.intervalFor(c.id, bound)); err != nil {
 			return err
 		}
@@ -385,12 +514,12 @@ func (m *memIndex) add(consts types.Tuple, ref Ref) error {
 	default:
 		ck := constTupleKey(consts)
 		if c, ok := m.byConst[ck]; ok {
-			c.addRef(ref)
+			c.addRef(ref, types.Value{})
 			return nil
 		}
 		m.nextID++
 		c := &centry{id: m.nextID, consts: consts.Clone(), parts: make([][]Ref, m.nparts)}
-		c.addRef(ref)
+		c.addRef(ref, types.Value{})
 		m.plain = append(m.plain, c)
 		m.byConst[ck] = c
 		return nil
@@ -449,7 +578,7 @@ func (m *memIndex) match(tuple types.Tuple, part int, pc probe, emit func(Ref) b
 	case expr.IndexEquality:
 		eqp := eqProbeFor(m.sig, tuple)
 		if c, ok := m.byKey[string(eqp)]; ok {
-			c.emitCounted(part, pc, emit)
+			c.emitCounted(part, m.rangeValue(tuple), pc, emit)
 		}
 		return 1, nil
 	case expr.IndexRange:
@@ -464,7 +593,7 @@ func (m *memIndex) match(tuple types.Tuple, part int, pc probe, emit func(Ref) b
 			if !ok {
 				return true
 			}
-			return c.emitCounted(part, pc, emit)
+			return c.emitCounted(part, types.Value{}, pc, emit)
 		})
 		if compares == 0 {
 			compares = 1
@@ -474,7 +603,7 @@ func (m *memIndex) match(tuple types.Tuple, part int, pc probe, emit func(Ref) b
 		compares := 0
 		for _, c := range m.plain {
 			compares++
-			if !c.emitCounted(part, pc, emit) {
+			if !c.emitCounted(part, types.Value{}, pc, emit) {
 				break
 			}
 		}
@@ -482,11 +611,35 @@ func (m *memIndex) match(tuple types.Tuple, part int, pc probe, emit func(Ref) b
 	}
 }
 
+// rangeBound extracts an expression's range constant (unused, and the
+// zero Value, when the signature has no range bound).
+func (m *memIndex) rangeBound(consts types.Tuple) types.Value {
+	if m.sig.RangeCol < 0 {
+		return types.Value{}
+	}
+	return consts[m.sig.RangeConstNum-1]
+}
+
+// rangeValue reads the token's range-column value (the zero Value when
+// the signature has no range bound).
+func (m *memIndex) rangeValue(tuple types.Tuple) types.Value {
+	if m.sig.RangeCol < 0 {
+		return types.Value{}
+	}
+	return tuple.Get(m.sig.RangeCol)
+}
+
 func (m *memIndex) forEach(fn func(types.Tuple, Ref) error) error {
 	visit := func(c *centry) error {
-		for _, p := range c.parts {
-			for _, r := range p {
-				if err := fn(c.consts, r); err != nil {
+		for p, refs := range c.parts {
+			for i, r := range refs {
+				consts := c.consts
+				if c.bounds != nil {
+					// Refs under one key differ in their bound.
+					consts = consts.Clone()
+					consts[m.sig.RangeConstNum-1] = c.bounds[p][i]
+				}
+				if err := fn(consts, r); err != nil {
 					return err
 				}
 			}
@@ -542,6 +695,9 @@ func (m *memIndex) hotConstants(max int) []HotConst {
 func (m *memIndex) describe() string {
 	switch m.sig.Indexability() {
 	case expr.IndexEquality:
+		if m.sig.RangeCol >= 0 {
+			return fmt.Sprintf("hash table, %d key(s), sorted bounds on %s", len(m.byKey), m.rangeCol)
+		}
 		return fmt.Sprintf("hash table, %d constant(s)", len(m.byKey))
 	case expr.IndexRange:
 		return fmt.Sprintf("interval skip list, %d interval(s)", len(m.byID))
@@ -615,13 +771,13 @@ func (ts *tableSet) ensureTable(consts types.Tuple) (*minisql.Table, error) {
 	}
 	if ts.indexed {
 		var keyCols []string
-		switch ts.sig.Indexability() {
-		case expr.IndexEquality:
-			for _, num := range ts.sig.EqConstNums {
-				keyCols = append(keyCols, constCol(num-1))
-			}
-		case expr.IndexRange:
-			keyCols = []string{constCol(ts.sig.RangeConstNum - 1)}
+		// The equality constants lead and the range constant follows,
+		// so one clustered index serves the key lookup and the bound.
+		for _, num := range ts.sig.EqConstNums {
+			keyCols = append(keyCols, constCol(num-1))
+		}
+		if ts.sig.RangeCol >= 0 {
+			keyCols = append(keyCols, constCol(ts.sig.RangeConstNum-1))
 		}
 		if len(keyCols) > 0 {
 			if _, err := tab.CreateIndex(ts.name+"_cidx", keyCols...); err != nil {
@@ -682,37 +838,26 @@ func (ts *tableSet) remove(consts types.Tuple, exprID uint64) (bool, error) {
 }
 
 // whereFor builds the WHERE clause probing the constant table for a
-// token tuple ("queried as needed, using the SQL query processor").
+// token tuple ("queried as needed, using the SQL query processor"): the
+// equality atoms, then the range bound. It is nil when nothing is
+// indexable.
 func (ts *tableSet) whereFor(tuple types.Tuple) expr.Node {
-	switch ts.sig.Indexability() {
-	case expr.IndexEquality:
-		var where expr.Node
-		for i, col := range ts.sig.EqCols {
-			num := ts.sig.EqConstNums[i]
-			atom := expr.Cmp(expr.OpEq,
-				expr.Col("", constCol(num-1)),
-				expr.Lit(tuple.Get(col)))
-			where = expr.And(where, atom)
-		}
-		return where
-	case expr.IndexRange:
-		v := tuple.Get(ts.sig.RangeCol)
-		// Predicate value OP constant holds iff constant FLIP(OP) value.
-		var op expr.Op
-		switch ts.sig.RangeOp {
-		case expr.OpGt:
-			op = expr.OpLt
-		case expr.OpGe:
-			op = expr.OpLe
-		case expr.OpLt:
-			op = expr.OpGt
-		default:
-			op = expr.OpGe
-		}
-		return expr.Cmp(op, expr.Col("", constCol(ts.sig.RangeConstNum-1)), expr.Lit(v))
-	default:
-		return nil
+	var where expr.Node
+	for i, col := range ts.sig.EqCols {
+		num := ts.sig.EqConstNums[i]
+		atom := expr.Cmp(expr.OpEq,
+			expr.Col("", constCol(num-1)),
+			expr.Lit(tuple.Get(col)))
+		where = expr.And(where, atom)
 	}
+	if ts.sig.RangeCol >= 0 {
+		// Predicate value OP constant holds iff constant FLIP(OP) value.
+		atom := expr.Cmp(expr.Flip(ts.sig.RangeOp),
+			expr.Col("", constCol(ts.sig.RangeConstNum-1)),
+			expr.Lit(tuple.Get(ts.sig.RangeCol)))
+		where = expr.And(where, atom)
+	}
+	return where
 }
 
 func (ts *tableSet) match(tuple types.Tuple, part int, _ probe, emit func(Ref) bool) (int, error) {
@@ -874,4 +1019,13 @@ func restFromText(text string, schema *types.Schema) (expr.CNF, error) {
 		return expr.CNF{}, err
 	}
 	return expr.ToCNF(node)
+}
+
+// columnName names a source column for introspection, falling back to
+// its position when the schema does not know it.
+func columnName(schema *types.Schema, col int) string {
+	if schema != nil && col >= 0 && col < len(schema.Columns) {
+		return schema.Columns[col].Name
+	}
+	return "#" + strconv.Itoa(col)
 }

@@ -698,7 +698,7 @@ func (ix *Index) newSet(e *SignatureEntry, org Organization) (constantSet, error
 	case OrgMemoryList:
 		return newMemList(e.Sig), nil
 	case OrgMemoryIndex:
-		return newMemIndex(e.Sig), nil
+		return newMemIndex(e.Sig, e.schema), nil
 	case OrgTable, OrgIndexedTable:
 		if ix.db == nil {
 			return nil, fmt.Errorf("predindex: table organization requires a database (WithDB)")

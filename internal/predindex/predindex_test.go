@@ -146,7 +146,11 @@ func TestMatchEquality(t *testing.T) {
 func TestMatchRange(t *testing.T) {
 	for _, org := range []Organization{OrgMemoryList, OrgMemoryIndex} {
 		t.Run(org.String(), func(t *testing.T) {
-			ix := newIx(t, WithForcedOrganization(org))
+			db, err := minisql.Create(storage.NewBufferPool(storage.NewMem(), 256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix := newIx(t, WithDB(db), WithForcedOrganization(org))
 			mask := EventMask{AnyOp: true}
 			for i := uint64(1); i <= 10; i++ {
 				sig, consts := buildSig(t, fmt.Sprintf("emp.salary > %d", i*10000))
@@ -166,8 +170,8 @@ func TestMatchRange(t *testing.T) {
 func TestMatchRestOfPredicate(t *testing.T) {
 	ix := newIx(t)
 	mask := EventMask{AnyOp: true}
-	// dept='eng' indexable; salary > 50000 is the rest.
-	sig, consts := buildSig(t, "emp.dept = 'eng' and emp.salary > 50000")
+	// dept='eng' indexable; the disjunction is the rest.
+	sig, consts := buildSig(t, "emp.dept = 'eng' and (emp.salary > 50000 or emp.name = 'x')")
 	ix.AddPredicate(empSrc, mask, sig, consts, refFor(t, sig, consts, 1, 1))
 	if len(matchAll(t, ix, insertTok("a", 60000, "eng"))) != 1 {
 		t.Error("should match")
@@ -181,6 +185,51 @@ func TestMatchRestOfPredicate(t *testing.T) {
 	st := ix.Stats()
 	if st.RestTests == 0 {
 		t.Error("rest tests not counted")
+	}
+}
+
+// TestEqualityRangeNeedsNoRestTests: the range bound of an
+// equality-plus-range signature is part of the indexable part, so under
+// every organization a probe evaluates no rest-of-predicate and still
+// returns exactly the members whose bound accepts the token.
+func TestEqualityRangeNeedsNoRestTests(t *testing.T) {
+	for _, org := range []Organization{OrgMemoryList, OrgMemoryIndex, OrgTable, OrgIndexedTable} {
+		t.Run(org.String(), func(t *testing.T) {
+			db, err := minisql.Create(storage.NewBufferPool(storage.NewMem(), 256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix := newIx(t, WithDB(db), WithForcedOrganization(org))
+			mask := EventMask{AnyOp: true}
+			for i := uint64(1); i <= 10; i++ {
+				sig, consts := buildSig(t, fmt.Sprintf("emp.dept = 'eng' and emp.salary > %d", i*10000))
+				if len(sig.Rest.Clauses) != 0 {
+					t.Fatalf("rest = %s, want empty", sig.Rest)
+				}
+				if _, err := ix.AddPredicate(empSrc, mask, sig, consts, refFor(t, sig, consts, i, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids := triggerIDs(matchAll(t, ix, insertTok("a", 55000, "eng")))
+			if len(ids) != 5 || !ids[1] || !ids[5] || ids[6] {
+				t.Errorf("matched %v, want triggers 1..5", ids)
+			}
+			if n := len(matchAll(t, ix, insertTok("a", 55000, "ops"))); n != 0 {
+				t.Errorf("wrong dept matched %d", n)
+			}
+			if n := len(matchAll(t, ix, insertTok("a", 10000, "eng"))); n != 0 {
+				t.Errorf("salary at the lowest bound matched %d", n)
+			}
+			if st := ix.Stats(); st.RestTests != 0 || st.Matches != 5 {
+				t.Errorf("rest tests = %d, matches = %d; want 0, 5", st.RestTests, st.Matches)
+			}
+			if org == OrgMemoryIndex {
+				const want = "hash table, 1 key(s), sorted bounds on salary"
+				if got := ix.Snapshot()[0].Structure; got != want {
+					t.Errorf("structure = %q, want %q", got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -55,7 +55,9 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 	}
 	n := int(binary.LittleEndian.Uint16(buf[:2]))
 	pos := 2
-	t := make(Tuple, 0, n)
+	// The header is untrusted: every column costs at least its kind
+	// byte, so the bytes that remain cap the capacity worth reserving.
+	t := make(Tuple, 0, min(n, len(buf)-pos))
 	for c := 0; c < n; c++ {
 		if pos >= len(buf) {
 			return nil, 0, fmt.Errorf("types: tuple truncated at column %d", c)

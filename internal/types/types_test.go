@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -366,6 +368,35 @@ func TestTupleHash(t *testing.T) {
 	}
 	if a.Hash() == c.Hash() {
 		t.Error("order-insensitive hash: suspicious")
+	}
+}
+
+// TestDecodeTupleAllocBoundedByInput checks that an untrusted column
+// count cannot make the decoder reserve memory out of proportion to the
+// record: every column costs at least one input byte, so the bytes
+// allocated per input byte stay within a small constant.
+func TestDecodeTupleAllocBoundedByInput(t *testing.T) {
+	hostile := [][]byte{
+		{0xff, 0xff},
+		{0xff, 0xff, byte(KindNull), byte(KindNull)},
+		append([]byte{0xff, 0xff}, bytes.Repeat([]byte{byte(KindInt), 1, 2, 3, 4, 5, 6, 7, 8}, 8)...),
+		EncodeTuple(nil, Tuple{NewString("abc"), NewInt(1)}),
+	}
+	// One Value per input byte at most, twice over for slack, plus a
+	// fixed allowance for the error value.
+	perByte := 2 * float64(unsafe.Sizeof(Value{}))
+	const fixed, reps = 512.0, 200
+	for _, in := range hostile {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			DecodeTuple(in)
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / reps
+		if limit := perByte*float64(len(in)) + fixed; got > limit {
+			t.Errorf("decoding %d bytes (header %x) allocated %.0f bytes, want <= %.0f", len(in), in[:2], got, limit)
+		}
 	}
 }
 
