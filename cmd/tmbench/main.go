@@ -778,21 +778,17 @@ func runE13(rows int, yzPred string, gator bool) (time.Duration, float64) {
 	return time.Since(start) / toks, float64(fired) / toks
 }
 
-// skew is the viral-entity sweep for the phase-reconciled match spine:
-// a population of single-constant equality triggers takes a token
-// stream in which a contended fraction f of tokens all carry one name
-// ("user0000000" goes viral) while the rest spread over the background
-// — zipf when the exponent > 1, uniform otherwise. Every hot token
-// probes the same constant-set entry, so that entry's probe/match
-// counters are exactly the cache lines the per-driver slices protect.
-// The sweep crosses background-exponent x contended-fraction x driver
-// count; f=0 rows are the uniform baseline the acceptance bar compares
-// hot rows against (hot ns/op within 2x of uniform at f=0.5, 8
-// drivers). Counters on each row report how many counters went sliced
-// and how many reconcile epochs ran, so a flat row with zero
-// promotions is visibly a detection failure rather than a win.
+// skew is the viral-entity sweep for the match path: a population of
+// single-constant equality triggers takes a token stream in which a
+// contended fraction f of tokens all carry one name ("user0000000"
+// goes viral) while the rest spread over the background — zipf when
+// the exponent > 1, uniform otherwise. Every hot token probes the same
+// constant-set entry and bumps the same signature counters from every
+// driver. The sweep crosses background-exponent x contended-fraction x
+// driver count; f=0 rows are the uniform baseline each hot row's ratio
+// is taken against.
 func skew(scale int) {
-	header("skew", "hot-constant skew sweep: phase-reconciled counters")
+	header("skew", "hot-constant skew sweep")
 	counts := parseDriverCounts(driverSet)
 	triggers := popCap(4000 * scale)
 	const batch = 4000
@@ -800,8 +796,8 @@ func skew(scale int) {
 	exps := []float64{0, zipfExp} // 0 = uniform background
 	fmt.Printf("triggers: %d, tokens per cell: %d, contended fractions %v, background exps %v\n",
 		triggers, batch, fracs, exps)
-	fmt.Printf("%-10s %-8s %-8s %14s %12s %8s %8s\n",
-		"drivers", "frac", "zipf", "time/token", "tokens/s", "sliced", "recons")
+	fmt.Printf("%-10s %-8s %-8s %14s %12s\n",
+		"drivers", "frac", "zipf", "time/token", "tokens/s")
 	for _, d := range counts {
 		var base time.Duration
 		for _, s := range exps {
@@ -825,17 +821,6 @@ func skew(scale int) {
 				toks := workload.ContendedTokens(rng, batch, triggers, f, s, 1_000_000, 0)
 				name := fmt.Sprintf("drivers=%d/frac=%.2f/zipf=%.2f", d, f, s)
 				el := measure("skew", name, triggers, batch, func() { push(toks) })
-				sys.Reconcile() // fold straggler deltas so the row's counters are current
-				cs := sys.Contention()
-				if jsonMode {
-					rows := benchRows["skew"]
-					rows[len(rows)-1].Counters = map[string]int64{
-						"index_sliced":     int64(cs.Index.Sliced),
-						"index_promotions": cs.Index.Promotions,
-						"index_reconciles": cs.Index.Reconciles,
-						"sketch_sliced":    int64(cs.Profile.Sliced),
-					}
-				}
 				if f == 0 && s == 0 {
 					base = el
 				}
@@ -843,9 +828,8 @@ func skew(scale int) {
 				if base > 0 && el != base {
 					ratio = fmt.Sprintf(" (%.2fx uniform)", float64(el)/float64(base))
 				}
-				fmt.Printf("%-10d %-8.2f %-8.2f %14s %12.0f %8d %8d%s\n",
-					d, f, s, el/batch, batch/el.Seconds(),
-					cs.Index.Sliced, cs.Index.Reconciles, ratio)
+				fmt.Printf("%-10d %-8.2f %-8.2f %14s %12.0f%s\n",
+					d, f, s, el/batch, batch/el.Seconds(), ratio)
 				sys.Close()
 			}
 		}

@@ -356,9 +356,9 @@ type TableQueue struct {
 }
 
 // commitGroup is the leader/follower state for group-committed flushes.
-// It is deliberately separate from TableQueue.mu: flushing happens with
-// the queue unlocked, so enqueues and dequeues proceed while the disk
-// syncs.
+// It is deliberately separate from TableQueue.mu: only the page
+// write-backs take the queue lock, so enqueues and dequeues proceed
+// while the disk syncs.
 type commitGroup struct {
 	mu       sync.Mutex
 	flushing bool
@@ -404,12 +404,17 @@ func (q *TableQueue) flushGroup(page storage.PageID) error {
 		g.waiters = nil
 		g.mu.Unlock()
 
+		// WriteBack copies the cached page image, which Enqueue and
+		// DequeueBatch edit under q.mu; hold it for the copies only, so
+		// the sync below still runs with the queue unlocked.
 		var err error
+		q.mu.Lock()
 		for p := range pages {
 			if e := q.bp.WriteBack(p); e != nil && err == nil {
 				err = e
 			}
 		}
+		q.mu.Unlock()
 		// One sync covers every page in the round — this is the whole
 		// saving over flush-per-enqueue.
 		if e := q.bp.Disk().Sync(); e != nil && err == nil {

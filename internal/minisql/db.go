@@ -405,11 +405,15 @@ func (t *Table) deleteLocked(rid storage.RID) error {
 
 // UpdateRow replaces the row at rid, returning its new RID.
 func (t *Table) UpdateRow(rid storage.RID, tu types.Tuple) (storage.RID, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.updateRowLocked(rid, tu)
+}
+
+func (t *Table) updateRowLocked(rid storage.RID, tu types.Tuple) (storage.RID, error) {
 	if err := t.validate(tu); err != nil {
 		return storage.RID{}, err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	old, err := t.Get(rid)
 	if err != nil {
 		return storage.RID{}, err

@@ -99,6 +99,13 @@ type plan struct {
 // composite equality match, or else the index whose leading columns
 // take the most equality atoms, with a range on the column after them.
 func (t *Table) choosePlan(where expr.Node) *plan {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.choosePlanLocked(where)
+}
+
+// choosePlanLocked is choosePlan for a caller holding t.mu.
+func (t *Table) choosePlanLocked(where expr.Node) *plan {
 	if where == nil {
 		return nil
 	}
@@ -132,8 +139,6 @@ func (t *Table) choosePlan(where expr.Node) *plan {
 			ranges[col] = append(ranges[col], rng{val, op})
 		}
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	var best *plan
 	bestScore := 0
 	for _, ix := range t.indexes {
@@ -400,9 +405,14 @@ func (db *DB) execUpdate(s *parser.Update) (*Result, error) {
 		}
 		sets = append(sets, setc{col, e})
 	}
+	// The table write lock spans plan, collect and write, so the
+	// statement is atomic: a concurrent `set x = x + 1` cannot read a
+	// row another statement is about to rewrite.
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	// Collect matches first (mutating while scanning an index we may be
 	// updating would invalidate the iteration).
-	pl := t.choosePlan(where)
+	pl := t.choosePlanLocked(where)
 	type match struct {
 		rid storage.RID
 		tu  types.Tuple
@@ -443,7 +453,7 @@ func (db *DB) execUpdate(s *parser.Update) (*Result, error) {
 			}
 			nt[sc.col] = v
 		}
-		if _, err := t.UpdateRow(m.rid, nt); err != nil {
+		if _, err := t.updateRowLocked(m.rid, nt); err != nil {
 			return nil, err
 		}
 		res.Affected++
@@ -461,7 +471,9 @@ func (db *DB) execDelete(s *parser.Delete) (*Result, error) {
 	if err := bindTo(t, where); err != nil {
 		return nil, err
 	}
-	pl := t.choosePlan(where)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pl := t.choosePlanLocked(where)
 	var rids []storage.RID
 	var eerr error
 	err = t.candidates(pl, func(rid storage.RID, tu types.Tuple) bool {
@@ -493,7 +505,7 @@ func (db *DB) execDelete(s *parser.Delete) (*Result, error) {
 		if gerr != nil {
 			return nil, gerr
 		}
-		if err := t.Delete(rid); err != nil {
+		if err := t.deleteLocked(rid); err != nil {
 			return nil, err
 		}
 		res.Affected++

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"triggerman/internal/storage"
@@ -121,6 +123,64 @@ func TestUpdateDelete(t *testing.T) {
 	res, _ = db.Exec("delete from emp")
 	if res.Affected != 3 || tab.Count() != 0 {
 		t.Errorf("delete all: %d, count %d", res.Affected, tab.Count())
+	}
+}
+
+// TestConcurrentUpdateDeleteAtomic: UPDATE and DELETE are atomic per
+// statement. Concurrent read-modify-write increments must not lose
+// updates, and concurrent deletes of one row must remove it once.
+func TestConcurrentUpdateDeleteAtomic(t *testing.T) {
+	db := newDB(t)
+	if _, err := db.CreateTable("bal", types.MustSchema(
+		types.Column{Name: "id", Kind: types.KindInt},
+		types.Column{Name: "total", Kind: types.KindInt},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"insert into bal values (1, 0)",
+		"insert into bal values (2, 0)",
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers, rounds = 4, 200
+	var wg sync.WaitGroup
+	var deleted atomic.Int64
+	errs := make(chan error, 2*workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := db.Exec("update bal set total = total + 1 where id = 1"); err != nil {
+					errs <- err
+					return
+				}
+			}
+			res, err := db.Exec("delete from bal where id = 2")
+			if err != nil {
+				errs <- err
+				return
+			}
+			deleted.Add(int64(res.Affected))
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	res, err := db.Exec("select total from bal where id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Int(); got != workers*rounds {
+		t.Fatalf("total = %d, want %d", got, workers*rounds)
+	}
+	if got := deleted.Load(); got != 1 {
+		t.Fatalf("concurrent deletes removed %d row(s), want 1", got)
 	}
 }
 

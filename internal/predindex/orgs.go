@@ -12,7 +12,6 @@ import (
 	"triggerman/internal/intervalskiplist"
 	"triggerman/internal/minisql"
 	"triggerman/internal/parser"
-	"triggerman/internal/phasecounter"
 	"triggerman/internal/storage"
 	"triggerman/internal/types"
 )
@@ -28,27 +27,16 @@ import (
 type constantSet interface {
 	add(consts types.Tuple, ref Ref) error
 	remove(consts types.Tuple, exprID uint64) (bool, error)
-	match(tuple types.Tuple, part int, pc probe, emit func(Ref) bool) (int, error)
+	match(tuple types.Tuple, part int, emit func(Ref) bool) (int, error)
 	forEach(fn func(consts types.Tuple, ref Ref) error) error
 	repartition(n int) error
 	// describe names the concrete predicate-testing structure for
 	// introspection (/indexz, explain).
 	describe() string
-	// hotConstants lists the set's contended constants (centries whose
-	// probe counters went sliced), hottest first, at most max. Table
-	// organizations return nil: their per-row state lives in SQL, not
-	// in shared memory, so there is nothing to slice.
-	hotConstants(max int) []HotConst
 }
 
 // centry is one constant (or constant tuple) with its triggerID set,
 // round-robin partitioned per Figure 5.
-//
-// cProbes counts tokens whose indexable part landed on this constant;
-// cMatches counts refs streamed to the rest-test from it. Both are
-// phase-reconciled: a viral constant's tallies split into per-driver
-// slices instead of bouncing one cache line across every core, and a
-// sliced centry is exactly what Snapshot reports as a hot constant.
 type centry struct {
 	id     uint64
 	consts types.Tuple
@@ -61,9 +49,6 @@ type centry struct {
 	bounds [][]types.Value
 	op     expr.Op
 	rr     int // round-robin cursor for partition assignment
-
-	cProbes  phasecounter.Counter
-	cMatches phasecounter.Counter
 }
 
 // addRef appends ref to the next partition; bound is its range constant
@@ -93,24 +78,6 @@ func (c *centry) removeRef(exprID uint64) bool {
 		}
 	}
 	return false
-}
-
-// emitCounted charges the centry's phase-reconciled probe/match stats
-// and streams the selected partition(s). The probe charge lands before
-// emission (a token consulted this constant); the match charge batches
-// the streamed-ref count in one add. v is the token's range-column
-// value; only bounded entries read it.
-func (c *centry) emitCounted(part int, v types.Value, pc probe, emit func(Ref) bool) bool {
-	c.cProbes.Add(pc.dom, pc.slot, 1)
-	var n int64
-	ok := c.emit(part, v, func(r Ref) bool {
-		n++
-		return emit(r)
-	})
-	if n != 0 {
-		c.cMatches.Add(pc.dom, pc.slot, n)
-	}
-	return ok
 }
 
 func (c *centry) emit(part int, v types.Value, emit func(Ref) bool) bool {
@@ -267,29 +234,6 @@ func boundAccepts(op expr.Op, v, bound types.Value) bool {
 	return false
 }
 
-// collectHot gathers the sliced centries seen by visit, hottest first,
-// capped at max — the shared body behind the memory organizations'
-// hotConstants.
-func collectHot(max int, visit func(fn func(*centry))) []HotConst {
-	var out []HotConst
-	visit(func(c *centry) {
-		if c.cProbes.Phase() != phasecounter.PhaseSliced {
-			return
-		}
-		out = append(out, HotConst{
-			Consts:  c.consts.String(),
-			Probes:  c.cProbes.Value(),
-			Matches: c.cMatches.Value(),
-			Slices:  c.cProbes.Slices(),
-		})
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Probes > out[j].Probes })
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
-}
-
 // matchesIndexable tests the signature's indexable part for one constant
 // entry against a token tuple: the equality key, then the range bound.
 // With nothing indexable every member is a candidate and rest testing
@@ -373,13 +317,13 @@ func (m *memList) remove(consts types.Tuple, exprID uint64) (bool, error) {
 	return true, nil
 }
 
-func (m *memList) match(tuple types.Tuple, part int, pc probe, emit func(Ref) bool) (int, error) {
+func (m *memList) match(tuple types.Tuple, part int, emit func(Ref) bool) (int, error) {
 	eqp := eqProbeFor(m.sig, tuple)
 	compares := 0
 	for _, c := range m.entries {
 		compares++
 		if matchesIndexable(m.sig, c, tuple, eqp) {
-			if !c.emitCounted(part, types.Value{}, pc, emit) {
+			if !c.emit(part, types.Value{}, emit) {
 				break
 			}
 		}
@@ -410,14 +354,6 @@ func (m *memList) repartition(n int) error {
 
 func (m *memList) describe() string {
 	return fmt.Sprintf("linear list, %d constant(s)", len(m.entries))
-}
-
-func (m *memList) hotConstants(max int) []HotConst {
-	return collectHot(max, func(fn func(*centry)) {
-		for _, c := range m.entries {
-			fn(c)
-		}
-	})
 }
 
 // --- organization 2: main-memory index ---
@@ -573,12 +509,12 @@ func (m *memIndex) remove(consts types.Tuple, exprID uint64) (bool, error) {
 	}
 }
 
-func (m *memIndex) match(tuple types.Tuple, part int, pc probe, emit func(Ref) bool) (int, error) {
+func (m *memIndex) match(tuple types.Tuple, part int, emit func(Ref) bool) (int, error) {
 	switch m.sig.Indexability() {
 	case expr.IndexEquality:
 		eqp := eqProbeFor(m.sig, tuple)
 		if c, ok := m.byKey[string(eqp)]; ok {
-			c.emitCounted(part, m.rangeValue(tuple), pc, emit)
+			c.emit(part, m.rangeValue(tuple), emit)
 		}
 		return 1, nil
 	case expr.IndexRange:
@@ -593,7 +529,7 @@ func (m *memIndex) match(tuple types.Tuple, part int, pc probe, emit func(Ref) b
 			if !ok {
 				return true
 			}
-			return c.emitCounted(part, types.Value{}, pc, emit)
+			return c.emit(part, types.Value{}, emit)
 		})
 		if compares == 0 {
 			compares = 1
@@ -603,7 +539,7 @@ func (m *memIndex) match(tuple types.Tuple, part int, pc probe, emit func(Ref) b
 		compares := 0
 		for _, c := range m.plain {
 			compares++
-			if !c.emitCounted(part, types.Value{}, pc, emit) {
+			if !c.emit(part, types.Value{}, emit) {
 				break
 			}
 		}
@@ -676,20 +612,6 @@ func (m *memIndex) repartition(n int) error {
 		c.repartition(n)
 	}
 	return nil
-}
-
-func (m *memIndex) hotConstants(max int) []HotConst {
-	return collectHot(max, func(fn func(*centry)) {
-		for _, c := range m.byKey {
-			fn(c)
-		}
-		for _, c := range m.byID {
-			fn(c)
-		}
-		for _, c := range m.plain {
-			fn(c)
-		}
-	})
 }
 
 func (m *memIndex) describe() string {
@@ -860,7 +782,7 @@ func (ts *tableSet) whereFor(tuple types.Tuple) expr.Node {
 	return where
 }
 
-func (ts *tableSet) match(tuple types.Tuple, part int, _ probe, emit func(Ref) bool) (int, error) {
+func (ts *tableSet) match(tuple types.Tuple, part int, emit func(Ref) bool) (int, error) {
 	if !ts.created {
 		return 0, nil
 	}
@@ -963,8 +885,6 @@ func (ts *tableSet) repartition(n int) error {
 	ts.nparts = n
 	return nil
 }
-
-func (ts *tableSet) hotConstants(int) []HotConst { return nil }
 
 func (ts *tableSet) describe() string {
 	if ts.indexed {

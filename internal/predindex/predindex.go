@@ -15,7 +15,6 @@ package predindex
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -26,7 +25,6 @@ import (
 	"triggerman/internal/expr"
 	"triggerman/internal/metrics"
 	"triggerman/internal/minisql"
-	"triggerman/internal/phasecounter"
 	"triggerman/internal/profile"
 	"triggerman/internal/types"
 )
@@ -258,23 +256,9 @@ type Index struct {
 	sources atomic.Pointer[map[int32]*sourceShard]
 	nextSig atomic.Uint64
 
-	// dom is the phase-reconciliation domain: every hot counter in the
-	// index (index-wide tallies, per-signature probe/match counters,
-	// per-centry stats) slices per driver slot through it when
-	// contended, and the embedding system's epoch tick folds the slices
-	// back via Reconcile.
-	dom *phasecounter.Domain
-
-	// stats are the index-wide tallies. They are touched by every
-	// driver on every token, so they are pre-split into per-slot
-	// slices at construction — guaranteed-contended counters never run
-	// a plain phase.
+	// stats are the index-wide tallies behind Stats.
 	stats struct {
-		tokens        phasecounter.Counter
-		sigProbes     phasecounter.Counter
-		constCompares phasecounter.Counter
-		restTests     phasecounter.Counter
-		matches       phasecounter.Counter
+		tokens, sigProbes, constCompares, restTests, matches atomic.Int64
 	}
 
 	// Registry-backed instruments (nil without WithMetrics): per-
@@ -309,11 +293,6 @@ type ReorgEvent struct {
 	// FromCostNs and ToCostNs are the cost model's per-probe estimates
 	// for the class at this size under each organization.
 	FromCostNs, ToCostNs float64
-	// Probes is the signature's probe counter as of the last reconcile
-	// epoch — the reading reorganization decisions weight cost against.
-	// Stale by at most one epoch (see CostModel's staleness contract);
-	// never torn, never mid-fold.
-	Probes int64
 }
 
 // sourceShard is one data source's slice of the index. The signature
@@ -357,15 +336,9 @@ type SignatureEntry struct {
 	size       int // expression instances stored
 
 	// Lock-free introspection counters: tokens consulted against this
-	// signature and refs matched through it. Phase-reconciled: a
-	// signature hammered from many drivers splits them into per-slot
-	// slices (see internal/phasecounter); ProbeCount/MatchCount stay
-	// exact either way.
-	cProbes  phasecounter.Counter
-	cMatches phasecounter.Counter
-	// dom backlinks to the owning index's reconcile domain so counter
-	// updates can promote without reaching through the root.
-	dom *phasecounter.Domain
+	// signature and refs matched through it.
+	cProbes  atomic.Int64
+	cMatches atomic.Int64
 }
 
 // Option configures an Index.
@@ -396,14 +369,6 @@ func WithReorgHook(fn func(ReorgEvent)) Option {
 	return func(ix *Index) { ix.reorgHook = fn }
 }
 
-// WithSlots sets the slice geometry for phase-reconciled counters to
-// the driver pool's slot count, so a contended key gets exactly one
-// slice per worker. Without it the geometry defaults to GOMAXPROCS —
-// correct but potentially wider than the pool.
-func WithSlots(n int) Option {
-	return func(ix *Index) { ix.dom = phasecounter.NewDomain(n) }
-}
-
 // WithMetrics registers the index's instruments with reg: a probe
 // counter per constant-set organization (which strategy actually served
 // each signature lookup) and a token match-latency histogram.
@@ -426,32 +391,8 @@ func New(opts ...Option) *Index {
 	for _, o := range opts {
 		o(ix)
 	}
-	if ix.dom == nil {
-		ix.dom = phasecounter.NewDomain(runtime.GOMAXPROCS(0))
-	}
-	// The index-wide tallies are touched by every driver on every
-	// token — guaranteed contention, so split them up front rather than
-	// waiting for the writer-switch probe to notice.
-	ix.stats.tokens.Split(ix.dom)
-	ix.stats.sigProbes.Split(ix.dom)
-	ix.stats.constCompares.Split(ix.dom)
-	ix.stats.restTests.Split(ix.dom)
-	ix.stats.matches.Split(ix.dom)
 	return ix
 }
-
-// Reconcile runs one phase-reconciliation epoch: every sliced counter
-// in the index (index-wide tallies, per-signature and per-centry
-// stats) folds its per-driver slices into its base cell, refreshing
-// the reconciled readings that reorganization decisions and snapshots
-// consume. The embedding system ticks this on its epoch timer;
-// Stats(), ProbeCount() and MatchCount() are exact without it.
-func (ix *Index) Reconcile() { ix.dom.Reconcile() }
-
-// Contention snapshots the index's phase-reconciliation domain: how
-// many counters are sliced, promote/demote totals, and reconcile epoch
-// recency. /indexz exposes it for the viral-entity runbook.
-func (ix *Index) Contention() phasecounter.DomainStats { return ix.dom.Stats() }
 
 // shard loads the current root map and looks up one source (lock-free).
 func (ix *Index) shard(source int32) (*sourceShard, bool) {
@@ -460,15 +401,14 @@ func (ix *Index) shard(source int32) (*sourceShard, bool) {
 	return s, ok
 }
 
-// Stats returns a snapshot of the index counters. Exact: sliced
-// counters sum their live per-driver slices.
+// Stats returns a snapshot of the index counters.
 func (ix *Index) Stats() Stats {
 	return Stats{
-		Tokens:        ix.stats.tokens.Value(),
-		SigProbes:     ix.stats.sigProbes.Value(),
-		ConstCompares: ix.stats.constCompares.Value(),
-		RestTests:     ix.stats.restTests.Value(),
-		Matches:       ix.stats.matches.Value(),
+		Tokens:        ix.stats.tokens.Load(),
+		SigProbes:     ix.stats.sigProbes.Load(),
+		ConstCompares: ix.stats.constCompares.Load(),
+		RestTests:     ix.stats.restTests.Load(),
+		Matches:       ix.stats.matches.Load(),
 	}
 }
 
@@ -532,7 +472,6 @@ func (ix *Index) AddPredicate(source int32, mask EventMask, sig *expr.Signature,
 			Sig:        sig,
 			schema:     si.schema,
 			partitions: 1,
-			dom:        ix.dom,
 		}
 		org := ix.forceOrg
 		if org == OrgAuto {
@@ -614,12 +553,11 @@ func (e *SignatureEntry) Partitions() int {
 	return e.partitions
 }
 
-// ProbeCount reports how many tokens have consulted this signature
-// (exact: sums live slices when the counter is sliced).
-func (e *SignatureEntry) ProbeCount() int64 { return e.cProbes.Value() }
+// ProbeCount reports how many tokens have consulted this signature.
+func (e *SignatureEntry) ProbeCount() int64 { return e.cProbes.Load() }
 
 // MatchCount reports how many refs have matched through this signature.
-func (e *SignatureEntry) MatchCount() int64 { return e.cMatches.Value() }
+func (e *SignatureEntry) MatchCount() int64 { return e.cMatches.Load() }
 
 // maybeReorganize migrates the constant set when its size crosses a
 // policy threshold. Caller holds entry.mu.
@@ -677,9 +615,6 @@ func (ix *Index) migrate(e *SignatureEntry, want Organization) error {
 			Size:       e.size,
 			FromCostNs: m.ProbeCost(from, e.size),
 			ToCostNs:   m.ProbeCost(want, e.size),
-			// Reconciled, not live: the decision path reads the folded
-			// value so a mid-probe slice delta can never tear the event.
-			Probes: e.cProbes.Reconciled(),
 		})
 	}
 	return nil
@@ -713,41 +648,18 @@ func (ix *Index) newSet(e *SignatureEntry, org Organization) (constantSet, error
 // expression instance. This is the §5.4 algorithm: locate the data
 // source predicate index, consult each signature's predicate-testing
 // structure, then test remaining clauses of partially indexable
-// predicates. Callers with a stable driver slot should prefer
-// MatchTokenSlot so contended counters slice per worker.
+// predicates.
 func (ix *Index) MatchToken(tok datasource.Token, fn func(Match) bool) error {
-	return ix.matchToken(tok, -1, -1, fn)
-}
-
-// MatchTokenSlot is MatchToken with the caller's stable driver slot
-// (taskq Task.RunSlot): counter updates route to the worker's own
-// slice once a key goes hot, so a viral constant stops bouncing cache
-// lines between drivers.
-func (ix *Index) MatchTokenSlot(tok datasource.Token, slot int, fn func(Match) bool) error {
-	return ix.matchToken(tok, -1, slot, fn)
+	return ix.matchToken(tok, -1, fn)
 }
 
 // MatchTokenPartition is MatchToken restricted to one partition of every
 // triggerID set (task type 3 of §6).
 func (ix *Index) MatchTokenPartition(tok datasource.Token, part int, fn func(Match) bool) error {
-	return ix.matchToken(tok, part, -1, fn)
+	return ix.matchToken(tok, part, fn)
 }
 
-// MatchTokenPartitionSlot is MatchTokenPartition with the caller's
-// stable driver slot.
-func (ix *Index) MatchTokenPartitionSlot(tok datasource.Token, part, slot int, fn func(Match) bool) error {
-	return ix.matchToken(tok, part, slot, fn)
-}
-
-// probe carries the prober's worker identity and the reconcile domain
-// down into the constant-set organizations, so per-centry counters can
-// slice per driver.
-type probe struct {
-	dom  *phasecounter.Domain
-	slot int
-}
-
-func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match) bool) error {
+func (ix *Index) matchToken(tok datasource.Token, part int, fn func(Match) bool) error {
 	if ix.matchHist != nil {
 		begin := time.Now()
 		defer func() { ix.matchHist.Observe(time.Since(begin)) }()
@@ -762,14 +674,14 @@ func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match)
 	}
 	sigs := si.signatures()
 
-	pc := probe{dom: ix.dom, slot: slot}
-	ix.stats.tokens.Add(pc.dom, slot, 1)
+	ix.stats.tokens.Add(1)
 	tuple := tok.Effective()
 	env := expr.SingleEnv{New: tuple, Old: tok.Old}
-	var sigProbes, restTests, matches int64
+	var sigProbes, compares, restTests, matches int64
+	var err error
 	stop := false
 	for _, e := range sigs {
-		if stop {
+		if stop || err != nil {
 			break
 		}
 		if !e.Mask.Matches(tok) {
@@ -779,11 +691,9 @@ func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match)
 		// The read lock is held across the whole set probe: the memory
 		// organizations mutate their structures in place under the entry
 		// write lock, so a probe overlapping an AddPredicate must hold the
-		// reader side. Probes share it — probe-vs-probe stays concurrent —
-		// and per-probe tallies are phase-reconciled counters, so the only
-		// shared read-modify-write left on this path is the lock word
-		// itself. Match callbacks must not mutate this entry (the system
-		// buffers matches and fires after the probe returns).
+		// reader side. Probes share it, so probe-vs-probe stays
+		// concurrent. Match callbacks must not mutate this entry (the
+		// system buffers matches and fires after the probe returns).
 		e.mu.RLock()
 		set := e.set
 		parts := e.partitions
@@ -797,9 +707,10 @@ func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match)
 		if probePart >= parts {
 			probePart = probePart % parts
 		}
-		e.cProbes.Add(pc.dom, slot, 1)
+		e.cProbes.Add(1)
 		var sigMatches int64
-		compares, err := set.match(tuple, probePart, pc, func(ref Ref) bool {
+		var n int
+		n, err = set.match(tuple, probePart, func(ref Ref) bool {
 			if len(ref.Rest.Clauses) > 0 {
 				restTests++
 				ok, err := expr.EvalPredicate(ref.Rest.Node(), env)
@@ -807,7 +718,7 @@ func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match)
 					// Charge the failed probe on this cold branch; the hot
 					// (matching) branch folds probe+match into one lookup.
 					if p := ix.prof; p != nil {
-						p.MatchProbeSlot(ref.TriggerID, slot)
+						p.MatchProbe(ref.TriggerID)
 					}
 					return true
 				}
@@ -815,7 +726,7 @@ func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match)
 			matches++
 			sigMatches++
 			if p := ix.prof; p != nil {
-				p.MatchHitSlot(ref.TriggerID, slot)
+				p.MatchHit(ref.TriggerID)
 			}
 			if !fn(Match{Ref: ref, SourceID: tok.SourceID}) {
 				stop = true
@@ -824,24 +735,16 @@ func (ix *Index) matchToken(tok datasource.Token, part, slot int, fn func(Match)
 			return true
 		})
 		e.mu.RUnlock()
+		compares += int64(n)
 		if sigMatches > 0 {
-			e.cMatches.Add(pc.dom, slot, sigMatches)
-		}
-		ix.stats.constCompares.Add(pc.dom, slot, int64(compares))
-		if err != nil {
-			return err
+			e.cMatches.Add(sigMatches)
 		}
 	}
-	if sigProbes > 0 {
-		ix.stats.sigProbes.Add(pc.dom, slot, sigProbes)
-	}
-	if restTests > 0 {
-		ix.stats.restTests.Add(pc.dom, slot, restTests)
-	}
-	if matches > 0 {
-		ix.stats.matches.Add(pc.dom, slot, matches)
-	}
-	return nil
+	ix.stats.sigProbes.Add(sigProbes)
+	ix.stats.constCompares.Add(compares)
+	ix.stats.restTests.Add(restTests)
+	ix.stats.matches.Add(matches)
+	return err
 }
 
 // SigSnapshot describes one signature entry for introspection
@@ -864,31 +767,6 @@ type SigSnapshot struct {
 	// EstProbeCostNs is the cost model's estimate for one probe against
 	// this class at its current size and organization.
 	EstProbeCostNs float64 `json:"est_probe_cost_ns"`
-	// Phase-reconciliation state of the signature's probe counter:
-	// "plain" (single shared cell) or "sliced" (per-driver slices —
-	// the counter proved contended), with the live slice count, how
-	// many reconcile epochs have folded it, and the age of the latest
-	// fold (-1 before the first). ReconciledProbes is the folded probe
-	// reading the cost model consumes (stale ≤ 1 epoch).
-	Phase              string `json:"phase"`
-	Slices             int    `json:"slices"`
-	Reconciles         int64  `json:"reconciles"`
-	LastReconcileAgeNs int64  `json:"last_reconcile_age_ns"`
-	ReconciledProbes   int64  `json:"reconciled_probes"`
-	// HotConstants lists this signature's contended constants — centries
-	// whose own probe counters went sliced (a viral entity shows up
-	// here), hottest first. Empty when nothing is contended or the set
-	// lives in a table organization.
-	HotConstants []HotConst `json:"hot_constants,omitempty"`
-}
-
-// HotConst is one contended constant inside a signature's set: its
-// rendered constant tuple, exact probe/match tallies, and slice count.
-type HotConst struct {
-	Consts  string `json:"consts"`
-	Probes  int64  `json:"probes"`
-	Matches int64  `json:"matches"`
-	Slices  int    `json:"slices"`
 }
 
 // Snapshot dumps every signature on every source, ordered by source ID
@@ -918,25 +796,11 @@ func (ix *Index) Snapshot() []SigSnapshot {
 			Size:           e.size,
 			Partitions:     e.partitions,
 			EstProbeCostNs: m.ProbeCost(e.org, e.size),
-			HotConstants:   e.set.hotConstants(maxHotConstants),
 		}
 		e.mu.RUnlock()
-		snap.Probes = e.cProbes.Value()
-		snap.Matches = e.cMatches.Value()
-		snap.Phase = e.cProbes.Phase().String()
-		snap.Slices = e.cProbes.Slices()
-		snap.Reconciles = e.cProbes.Reconciles()
-		snap.LastReconcileAgeNs = -1
-		if last := e.cProbes.LastReconcile(); !last.IsZero() {
-			snap.LastReconcileAgeNs = time.Since(last).Nanoseconds()
-		}
-		snap.ReconciledProbes = e.cProbes.Reconciled()
+		snap.Probes = e.cProbes.Load()
+		snap.Matches = e.cMatches.Load()
 		out = append(out, snap)
 	}
 	return out
 }
-
-// maxHotConstants bounds the per-signature contended-constant list in
-// snapshots; a healthy index has zero, a viral-entity incident a
-// handful.
-const maxHotConstants = 8

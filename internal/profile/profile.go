@@ -37,8 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"triggerman/internal/phasecounter"
 )
 
 // Metric enumerates the quantities attributed to each entity.
@@ -93,17 +91,10 @@ func (e Entry) Selectivity() float64 {
 	return float64(e.Counts[Matches]) / float64(e.Counts[Probes])
 }
 
-// cell holds one tracked key's attribution state. The weight and the
-// per-metric counts are phase-reconciled: on a sliced sketch a viral
-// trigger's tallies split into per-driver slices (either proven
-// contended by the writer-switch probe, or pre-split by top-K rank at
-// reconcile time) instead of bouncing shared cache lines across every
-// driver. Err never slices — it is written only under the bucket mutex
-// during admission.
 type cell struct {
-	weight phasecounter.Counter
+	weight atomic.Int64
 	err    atomic.Int64
-	counts [numMetrics]phasecounter.Counter
+	counts [numMetrics]atomic.Int64
 }
 
 // bucket packs its keys into a contiguous array — one 64-byte cache
@@ -136,17 +127,7 @@ type Sketch struct {
 	buckets   []bucket
 	mask      uint64
 	evictions atomic.Int64
-	// dom, when set, gives the sketch's counters per-driver slice
-	// geometry and a reconcile clock (see NewSlicedSketch); nil keeps
-	// every counter on the plain path.
-	dom *phasecounter.Domain
 }
-
-// sliceTopK is how many of the sketch's heaviest keys are proactively
-// split at each reconcile tick: a key in the top ranks is hot by
-// definition, so its counters go sliced without waiting for the
-// writer-switch probe to prove contention.
-const sliceTopK = 8
 
 // NewSketch builds a sketch tracking at least capacity entities
 // (rounded up to a power-of-two bucket count times the associativity).
@@ -160,58 +141,6 @@ func NewSketch(capacity int) *Sketch {
 	}
 	return &Sketch{buckets: make([]bucket, n), mask: uint64(n - 1)}
 }
-
-// NewSlicedSketch builds a sketch whose hot keys split into slots
-// per-driver slices. Updates carrying a driver slot (AddSlot/Add2Slot)
-// route through the slices once a key promotes — by the counter's own
-// contention probe or by top-K rank at a Reconcile tick.
-func NewSlicedSketch(capacity, slots int) *Sketch {
-	s := NewSketch(capacity)
-	if slots > 0 {
-		s.dom = phasecounter.NewDomain(slots)
-	}
-	return s
-}
-
-// Reconcile runs one epoch on a sliced sketch: the heaviest tracked
-// keys are pre-split by rank, then every sliced counter folds its
-// slice deltas and refreshes its reconciled reading (cold ones demote).
-// No-op on a plain sketch.
-func (s *Sketch) Reconcile() {
-	if s.dom == nil {
-		return
-	}
-	type ranked struct {
-		w int64
-		c *cell
-	}
-	var top []ranked
-	for bi := range s.buckets {
-		b := &s.buckets[bi]
-		for i := range b.keys {
-			if b.keys[i].Load() == 0 {
-				continue
-			}
-			c := &b.cells[i]
-			top = append(top, ranked{c.weight.Value(), c})
-		}
-	}
-	sort.Slice(top, func(i, j int) bool { return top[i].w > top[j].w })
-	if len(top) > sliceTopK {
-		top = top[:sliceTopK]
-	}
-	for _, r := range top {
-		r.c.weight.Split(s.dom)
-		for m := range r.c.counts {
-			r.c.counts[m].Split(s.dom)
-		}
-	}
-	s.dom.Reconcile()
-}
-
-// Contention snapshots the sketch's phase-reconciliation domain (zero
-// value for a plain sketch).
-func (s *Sketch) Contention() phasecounter.DomainStats { return s.dom.Stats() }
 
 // Capacity reports the number of entities the sketch can track.
 func (s *Sketch) Capacity() int { return len(s.buckets) * ways }
@@ -230,13 +159,6 @@ func mix(x uint64) uint64 {
 // atomic adds after at most `ways` atomic loads from one cache line;
 // new keys take the bucket mutex for (possibly sampled) admission.
 func (s *Sketch) Add(key uint64, m Metric, delta int64) {
-	s.AddSlot(key, phasecounter.NoSlot, m, delta)
-}
-
-// AddSlot is Add with the caller's stable driver slot: on a sliced
-// sketch, updates to a promoted key land in the slot's own slice
-// instead of the shared cell.
-func (s *Sketch) AddSlot(key uint64, slot int, m Metric, delta int64) {
 	if key == 0 {
 		return
 	}
@@ -244,13 +166,17 @@ func (s *Sketch) AddSlot(key uint64, slot int, m Metric, delta int64) {
 	for i := range b.keys {
 		if b.keys[i].Load() == key {
 			c := &b.cells[i]
-			c.counts[m].Add(s.dom, slot, delta)
-			c.weight.Add(s.dom, slot, 1)
+			c.counts[m].Add(delta)
+			c.weight.Add(1)
 			return
 		}
 	}
-	s.admitCell(b, key, slot, func(c *cell) {
-		c.counts[m].Add(s.dom, slot, delta)
+	s.admitCell(b, key, func(c *cell, fresh bool) {
+		if fresh {
+			c.counts[m].Store(delta)
+		} else {
+			c.counts[m].Add(delta)
+		}
 	})
 }
 
@@ -259,11 +185,6 @@ func (s *Sketch) AddSlot(key uint64, slot int, m Metric, delta int64) {
 // into one scan halves its sketch cost. The update counts as one event
 // for the space-saving rank.
 func (s *Sketch) Add2(key uint64, m1 Metric, d1 int64, m2 Metric, d2 int64) {
-	s.Add2Slot(key, phasecounter.NoSlot, m1, d1, m2, d2)
-}
-
-// Add2Slot is Add2 with the caller's stable driver slot.
-func (s *Sketch) Add2Slot(key uint64, slot int, m1 Metric, d1 int64, m2 Metric, d2 int64) {
 	if key == 0 {
 		return
 	}
@@ -271,23 +192,28 @@ func (s *Sketch) Add2Slot(key uint64, slot int, m1 Metric, d1 int64, m2 Metric, 
 	for i := range b.keys {
 		if b.keys[i].Load() == key {
 			c := &b.cells[i]
-			c.counts[m1].Add(s.dom, slot, d1)
-			c.counts[m2].Add(s.dom, slot, d2)
-			c.weight.Add(s.dom, slot, 1)
+			c.counts[m1].Add(d1)
+			c.counts[m2].Add(d2)
+			c.weight.Add(1)
 			return
 		}
 	}
-	s.admitCell(b, key, slot, func(c *cell) {
-		c.counts[m1].Add(s.dom, slot, d1)
-		c.counts[m2].Add(s.dom, slot, d2)
+	s.admitCell(b, key, func(c *cell, fresh bool) {
+		if fresh {
+			c.counts[m1].Store(d1)
+			c.counts[m2].Store(d2)
+		} else {
+			c.counts[m1].Add(d1)
+			c.counts[m2].Add(d2)
+		}
 	})
 }
 
 // admitCell locates or creates key's cell and applies charge to it.
-// charge always runs against zeroed (or already-live) counts, so it
-// adds unconditionally. Full-bucket replacement is sampled (see
+// fresh is true when the cell's counts were just reset (new admission
+// or replacement). Full-bucket replacement is sampled (see
 // admissionSample); sampled-out updates are dropped.
-func (s *Sketch) admitCell(b *bucket, key uint64, slot int, charge func(c *cell)) {
+func (s *Sketch) admitCell(b *bucket, key uint64, charge func(c *cell, fresh bool)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	empty, min := -1, -1
@@ -297,8 +223,8 @@ func (s *Sketch) admitCell(b *bucket, key uint64, slot int, charge func(c *cell)
 		if k == key {
 			// Admitted by a concurrent caller while we waited.
 			c := &b.cells[i]
-			charge(c)
-			c.weight.Add(s.dom, slot, 1)
+			charge(c, false)
+			c.weight.Add(1)
 			return
 		}
 		if k == 0 {
@@ -307,15 +233,15 @@ func (s *Sketch) admitCell(b *bucket, key uint64, slot int, charge func(c *cell)
 			}
 			continue
 		}
-		if w := b.cells[i].weight.Value(); w < minW {
+		if w := b.cells[i].weight.Load(); w < minW {
 			minW, min = w, i
 		}
 	}
 	if empty >= 0 {
 		c := &b.cells[empty]
-		charge(c)
+		charge(c, true)
 		c.err.Store(0)
-		c.weight.Reset(1)
+		c.weight.Store(1)
 		b.keys[empty].Store(key) // publish last
 		return
 	}
@@ -325,18 +251,16 @@ func (s *Sketch) admitCell(b *bucket, key uint64, slot int, charge func(c *cell)
 	}
 	// Space-saving replacement: the newcomer inherits the victim's
 	// weight as its rank and error bound; per-metric counts restart (an
-	// under-estimate for re-admitted keys, bounded by Err). A recycled
-	// cell keeps its slice block: the new occupant of a hot bucket is
-	// itself likely hot, and Reset zeroes the slices.
+	// under-estimate for re-admitted keys, bounded by Err).
 	s.evictions.Add(1)
 	c := &b.cells[min]
 	b.keys[min].Store(key)
 	for i := range c.counts {
-		c.counts[i].Reset(0)
+		c.counts[i].Store(0)
 	}
-	charge(c)
+	charge(c, true)
 	c.err.Store(minW)
-	c.weight.Reset(minW + 1)
+	c.weight.Store(minW + 1)
 }
 
 // Get returns the tracked entry for key, if present.
@@ -354,9 +278,9 @@ func (s *Sketch) Get(key uint64) (Entry, bool) {
 }
 
 func snapshotCell(key uint64, c *cell) Entry {
-	e := Entry{Key: key, Weight: c.weight.Value(), Err: c.err.Load()}
+	e := Entry{Key: key, Weight: c.weight.Load(), Err: c.err.Load()}
 	for i := range c.counts {
-		e.Counts[i] = c.counts[i].Value()
+		e.Counts[i] = c.counts[i].Load()
 	}
 	return e
 }
@@ -440,61 +364,24 @@ func New(capacity int) *Profiler {
 	return &Profiler{Triggers: NewSketch(capacity)}
 }
 
-// NewSliced builds a profiler whose hot triggers' tallies split into
-// slots per-driver slices (see NewSlicedSketch). The system ticks
-// Reconcile on its epoch timer.
-func NewSliced(capacity, slots int) *Profiler {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Profiler{Triggers: NewSlicedSketch(capacity, slots)}
-}
-
-// Reconcile runs one fold epoch on the trigger sketch (no-op for a
-// plain or nil profiler).
-func (p *Profiler) Reconcile() {
-	if p == nil {
-		return
-	}
-	p.Triggers.Reconcile()
-}
-
-// Contention snapshots the trigger sketch's phase-reconciliation state.
-func (p *Profiler) Contention() phasecounter.DomainStats {
-	if p == nil {
-		return phasecounter.DomainStats{}
-	}
-	return p.Triggers.Contention()
-}
-
 // MatchProbe charges one candidate-ref delivery whose rest-of-predicate
 // test failed. (Candidates that match are charged by MatchHit, which
 // folds the probe and the match into one sketch lookup — the match path
 // pays at most one lookup per candidate either way.)
 func (p *Profiler) MatchProbe(triggerID uint64) {
-	p.MatchProbeSlot(triggerID, phasecounter.NoSlot)
-}
-
-// MatchProbeSlot is MatchProbe stamped with the probing driver's slot.
-func (p *Profiler) MatchProbeSlot(triggerID uint64, slot int) {
 	if p == nil {
 		return
 	}
-	p.Triggers.AddSlot(triggerID, slot, Probes, 1)
+	p.Triggers.Add(triggerID, Probes, 1)
 }
 
 // MatchHit charges one candidate-ref delivery that passed its whole
 // selection predicate: a probe and a match in a single lookup.
 func (p *Profiler) MatchHit(triggerID uint64) {
-	p.MatchHitSlot(triggerID, phasecounter.NoSlot)
-}
-
-// MatchHitSlot is MatchHit stamped with the probing driver's slot.
-func (p *Profiler) MatchHitSlot(triggerID uint64, slot int) {
 	if p == nil {
 		return
 	}
-	p.Triggers.Add2Slot(triggerID, slot, Probes, 1, Matches, 1)
+	p.Triggers.Add2(triggerID, Probes, 1, Matches, 1)
 }
 
 // ObserveAction charges one rule-action execution and its wall time.

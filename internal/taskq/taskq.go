@@ -94,12 +94,6 @@ func (pr Priority) String() string {
 	return "high"
 }
 
-// NoSlot is the slot index reported to work running outside any
-// driver: synchronous embedders and direct producer calls. Slot-keyed
-// counter slices treat it as "no worker identity" and fall back to
-// their shared cell.
-const NoSlot = -1
-
 // Task is one unit of work. Run executes it; tasks may enqueue follow-up
 // tasks (e.g. a ProcessToken task spawning RunAction tasks).
 //
@@ -109,13 +103,6 @@ const NoSlot = -1
 type Task struct {
 	Kind Kind
 	Run  func() error
-	// RunSlot, when set, is invoked instead of Run and receives the
-	// executing driver's stable slot index in [0, Drivers): the identity
-	// of the worker, not the goroutine, so a stolen task reports the
-	// stealing driver's slot. Phase-reconciled counters key their
-	// per-worker slices on it (see internal/phasecounter). A task run
-	// outside any driver (synchronous embedders) would see NoSlot.
-	RunSlot func(slot int) error
 	// Key, when non-zero, routes the task to a fixed shard so tasks
 	// sharing a key drain from the same queue (source affinity). Keyed
 	// tasks never spill to the overflow queue.
@@ -175,29 +162,17 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// ResolveDrivers is the pool's driver-count derivation, exported so
-// embedders can size per-driver structures (slice geometries, slot
-// arrays) before the pool exists: drivers when positive, else
-// ceil(NUM_CPUS * level) as in §6.
-func ResolveDrivers(drivers int, level float64) int {
-	if level <= 0 || level > 1 {
-		level = 1.0
-	}
-	if drivers > 0 {
-		return drivers
-	}
-	n := int(float64(runtime.NumCPU())*level + 0.999999)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 func (c Config) withDefaults() Config {
 	if c.ConcurrencyLevel <= 0 || c.ConcurrencyLevel > 1 {
 		c.ConcurrencyLevel = 1.0
 	}
-	c.Drivers = ResolveDrivers(c.Drivers, c.ConcurrencyLevel)
+	if c.Drivers <= 0 {
+		n := int(float64(runtime.NumCPU())*c.ConcurrencyLevel + 0.999999)
+		if n < 1 {
+			n = 1
+		}
+		c.Drivers = n
+	}
 	if c.T <= 0 {
 		c.T = 250 * time.Millisecond
 	}
@@ -640,7 +615,7 @@ func (p *Pool) tmanTest(id int, t Task, s *shard) {
 	atomic.AddInt64(&p.stats.DrainSlices, 1)
 	deadline := time.Now().Add(p.cfg.Threshold)
 	for {
-		p.runTask(id, t, s)
+		p.runTask(t, s)
 		if time.Now().After(deadline) {
 			return
 		}
@@ -655,7 +630,7 @@ func (p *Pool) tmanTest(id int, t Task, s *shard) {
 	}
 }
 
-func (p *Pool) runTask(slot int, t Task, s *shard) {
+func (p *Pool) runTask(t Task, s *shard) {
 	if t.Kind <= TokenActions {
 		if c := p.kindCounters[t.Kind]; c != nil {
 			c.Inc()
@@ -672,7 +647,7 @@ func (p *Pool) runTask(slot int, t Task, s *shard) {
 			h.Observe(begin.Sub(t.submitted))
 		}
 	}
-	err := p.invoke(slot, t)
+	err := p.invoke(t)
 	if t.Serial {
 		// Release the key before retry/Done handling: a retried
 		// incarnation re-acquires it via the normal queue path.
@@ -717,16 +692,13 @@ func (p *Pool) runTask(slot int, t Task, s *shard) {
 // invoke runs the task body under panic isolation: a panicking task is
 // converted into a *retry.PanicError (with stack) instead of killing
 // the driver goroutine or deadlocking Drain.
-func (p *Pool) invoke(slot int, t Task) (err error) {
+func (p *Pool) invoke(t Task) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			atomic.AddInt64(&p.stats.Panics, 1)
 			err = retry.Recovered(r)
 		}
 	}()
-	if t.RunSlot != nil {
-		return t.RunSlot(slot)
-	}
 	if t.Run == nil {
 		return nil
 	}

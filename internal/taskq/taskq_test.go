@@ -510,54 +510,24 @@ func TestCloseWaitsForScheduledRetries(t *testing.T) {
 	}
 }
 
-func TestRunSlotReportsDriverIdentity(t *testing.T) {
+func TestPoolRunsEveryTaskOnConfiguredDrivers(t *testing.T) {
 	const drivers = 4
 	p := New(Config{Drivers: drivers, T: time.Millisecond, Threshold: time.Millisecond})
 	defer p.Close()
-	var seen [drivers]int64
-	var bad int64
+	var ran int64
 	for i := 0; i < 2000; i++ {
-		err := p.Submit(Task{Kind: ProcessToken, RunSlot: func(slot int) error {
-			if slot < 0 || slot >= drivers {
-				atomic.AddInt64(&bad, 1)
-				return nil
-			}
-			atomic.AddInt64(&seen[slot], 1)
+		if err := p.Submit(Task{Kind: ProcessToken, Run: func() error {
+			atomic.AddInt64(&ran, 1)
 			return nil
-		}})
-		if err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.Drain()
-	if bad != 0 {
-		t.Fatalf("%d tasks saw a slot outside [0, %d)", bad, drivers)
-	}
-	var total int64
-	for _, n := range seen {
-		total += n
-	}
-	if total != 2000 {
-		t.Fatalf("executed %d tasks through RunSlot, want 2000", total)
+	if ran != 2000 {
+		t.Fatalf("executed %d tasks, want 2000", ran)
 	}
 	if p.Drivers() != drivers {
 		t.Fatalf("Drivers() = %d, want %d", p.Drivers(), drivers)
-	}
-}
-
-func TestRunSlotTakesPrecedenceOverRun(t *testing.T) {
-	p := New(Config{Drivers: 1, T: time.Millisecond, Threshold: time.Millisecond})
-	defer p.Close()
-	var viaSlot, viaRun int64
-	if err := p.Submit(Task{
-		Kind:    ProcessToken,
-		Run:     func() error { atomic.AddInt64(&viaRun, 1); return nil },
-		RunSlot: func(int) error { atomic.AddInt64(&viaSlot, 1); return nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p.Drain()
-	if viaSlot != 1 || viaRun != 0 {
-		t.Fatalf("viaSlot=%d viaRun=%d, want 1/0", viaSlot, viaRun)
 	}
 }

@@ -116,19 +116,23 @@ func TestServerDispatch(t *testing.T) {
 	}
 	defer conn.Close()
 
+	// Notifications are unsolicited and may arrive before the reply to
+	// the request that raised them; roundtrip keeps them in events.
+	var events []*EventMsg
 	roundtrip := func(req *Request) *Response {
 		t.Helper()
 		if err := WriteMsg(conn, req); err != nil {
 			t.Fatal(err)
 		}
-		var resp Response
 		for {
+			var resp Response
 			if err := ReadMsg(conn, &resp); err != nil {
 				t.Fatal(err)
 			}
 			if resp.Event == nil {
 				return &resp
 			}
+			events = append(events, resp.Event)
 		}
 	}
 
@@ -151,17 +155,17 @@ func TestServerDispatch(t *testing.T) {
 		t.Errorf("push = %+v", r)
 	}
 	// The push raised an event; it arrives as an unsolicited message.
-	var resp Response
-	for {
+	for len(events) == 0 {
+		var resp Response
 		if err := ReadMsg(conn, &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.Event != nil {
-			break
+			events = append(events, resp.Event)
 		}
 	}
-	if resp.Event.Name != "pushed" {
-		t.Errorf("event = %+v", resp.Event)
+	if events[0].Name != "pushed" {
+		t.Errorf("event = %+v", events[0])
 	}
 	if r := roundtrip(&Request{ID: 7, Op: "unsubscribe", Event: "pushed"}); !r.OK {
 		t.Errorf("unsubscribe = %+v", r)

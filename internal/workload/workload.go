@@ -188,8 +188,7 @@ func ContendedIDs(rng *rand.Rand, count, n int, f, s float64) []uint64 {
 // fraction f carries the one viral name (user0000000), the rest spread
 // over nameSpace names — zipf-s when s > 1, uniform otherwise. This is
 // the skew experiment's update stream: every hot token probes the same
-// constant-set entry, so the per-centry counters behind it are exactly
-// the cache lines the phase-reconciled slices protect.
+// constant-set entry and bumps the same signature counters.
 func ContendedTokens(rng *rand.Rand, count, nameSpace int, f, s float64, maxSalary int64, sourceID int32) []datasource.Token {
 	ids := ContendedIDs(rng, count, nameSpace, f, s)
 	out := make([]datasource.Token, count)

@@ -139,7 +139,7 @@ func (s *System) applyTraced(tok datasource.Token, parent uint64, flags byte) er
 	return s.pool.Submit(taskq.Task{
 		Kind: taskq.ProcessToken, Key: sourceKey(tok.SourceID),
 		Pri:   s.taskPri(tok.SourceID),
-		Retry: &s.queueRetry, RunSlot: s.consumeBatch,
+		Retry: &s.queueRetry, Run: s.consumeBatch,
 	})
 }
 
@@ -159,7 +159,7 @@ func (s *System) consumeOne() error {
 	if !ok {
 		return nil
 	}
-	s.handleToken(tok, -1, taskq.NoSlot, s.tracer.Dequeued(tok.Seq))
+	s.handleToken(tok, -1, s.tracer.Dequeued(tok.Seq))
 	return nil
 }
 
@@ -168,13 +168,13 @@ func (s *System) consumeOne() error {
 // gets its own span and dead-letter handling. Tokens returned alongside
 // a dequeue error have already left the queue, so they are processed
 // before the error is surfaced for task-level retry.
-func (s *System) consumeBatch(slot int) error {
+func (s *System) consumeBatch() error {
 	batch, err := s.queue.DequeueBatch(s.tokenBatch)
 	if len(batch) > 0 {
 		s.cBatches.Inc()
 		s.cBatchTokens.Add(int64(len(batch)))
 		for _, tok := range batch {
-			s.handleToken(tok, -1, slot, s.tracer.Dequeued(tok.Seq))
+			s.handleToken(tok, -1, s.tracer.Dequeued(tok.Seq))
 		}
 	}
 	if err != nil {
@@ -210,11 +210,11 @@ func (s *System) dispatchOrdered() error {
 			serr := s.pool.Submit(taskq.Task{
 				Kind: taskq.ProcessToken, Key: sourceKey(tok.SourceID), Serial: true,
 				Pri: s.taskPri(tok.SourceID),
-				RunSlot: func(slot int) error {
+				Run: func() error {
 					if sp != nil {
 						sp.Observe(trace.StageTaskWait, time.Since(submitAt))
 					}
-					s.handleToken(tok, -1, slot, sp)
+					s.handleToken(tok, -1, sp)
 					return nil
 				},
 			})
@@ -236,10 +236,10 @@ func (s *System) dispatchOrdered() error {
 // invariant is fire-or-dead-letter, never silently dropped. Retries
 // re-run the whole pass; alpha-memory maintenance is not idempotent
 // under partial failure, so delivery is at-least-once.
-func (s *System) handleToken(tok datasource.Token, part, slot int, sp *trace.Span) {
+func (s *System) handleToken(tok datasource.Token, part int, sp *trace.Span) {
 	defer sp.Finish()
 	attempts, err := s.queueRetry.Do(func() error {
-		return s.processToken(tok, part, slot, sp)
+		return s.processToken(tok, part, sp)
 	})
 	if err != nil {
 		s.quarantine(catalog.DeadToken, 0, tok, err, attempts)
@@ -259,7 +259,7 @@ func (s *System) submitPartitionedToken() error {
 	// tasks. The token has left the queue, so failure here dead-letters
 	// it rather than dropping it.
 	attempts, err := s.queueRetry.Do(func() error {
-		return s.propagateToken(tok, taskq.NoSlot, sp)
+		return s.propagateToken(tok, sp)
 	})
 	if err != nil {
 		s.quarantine(catalog.DeadToken, 0, tok, err, attempts)
@@ -276,11 +276,11 @@ func (s *System) submitPartitionedToken() error {
 		sp.Retain()
 		if err := s.pool.Submit(taskq.Task{
 			Kind: taskq.TokenConditions, Retry: &s.queueRetry, Pri: pri,
-			RunSlot: func(slot int) error {
+			Run: func() error {
 				if sp != nil {
 					sp.Observe(trace.StageTaskWait, time.Since(submitAt))
 				}
-				return s.fireMatches(tok, part, slot, sp)
+				return s.fireMatches(tok, part, sp)
 			},
 			OnDone: func(error) { sp.Finish() },
 		}); err != nil {
@@ -295,25 +295,25 @@ func (s *System) submitPartitionedToken() error {
 
 // processToken is the §5.4 algorithm: maintenance pass for alpha
 // memories and aggregate state, then match-and-fire.
-func (s *System) processToken(tok datasource.Token, part, slot int, sp *trace.Span) error {
-	if err := s.propagateToken(tok, slot, sp); err != nil {
+func (s *System) processToken(tok datasource.Token, part int, sp *trace.Span) error {
+	if err := s.propagateToken(tok, sp); err != nil {
 		return err
 	}
-	return s.fireMatches(tok, part, slot, sp)
+	return s.fireMatches(tok, part, sp)
 }
 
 // propagateToken is the propagation pass — alpha-memory maintenance
 // plus incremental aggregate upkeep — timed as the trace's propagate
 // stage. Gator triggers also fire in here (their incremental protocol
 // fires at propagation time).
-func (s *System) propagateToken(tok datasource.Token, slot int, sp *trace.Span) error {
+func (s *System) propagateToken(tok datasource.Token, sp *trace.Span) error {
 	var begin time.Time
 	if sp != nil {
 		begin = time.Now()
 	}
-	err := s.maintainMemories(tok, slot, sp)
+	err := s.maintainMemories(tok, sp)
 	if err == nil {
-		err = s.processAggregates(tok, slot, sp)
+		err = s.processAggregates(tok, sp)
 	}
 	if sp != nil {
 		sp.Observe(trace.StagePropagate, time.Since(begin))
@@ -325,7 +325,7 @@ func (s *System) propagateToken(tok datasource.Token, slot int, sp *trace.Span) 
 // pass the trigger's selection update the group's incremental
 // aggregates, and having-condition transitions fire the action with
 // aggregate values substituted in.
-func (s *System) processAggregates(tok datasource.Token, slot int, sp *trace.Span) error {
+func (s *System) processAggregates(tok datasource.Token, sp *trace.Span) error {
 	s.mu.RLock()
 	hasAgg := s.aggSources[tok.SourceID] > 0
 	s.mu.RUnlock()
@@ -336,7 +336,7 @@ func (s *System) processAggregates(tok datasource.Token, slot int, sp *trace.Spa
 	newMatch := map[uint64]bool{}
 	if tok.Op != datasource.OpInsert && tok.Old != nil {
 		probe := datasource.Token{SourceID: tok.SourceID, Op: datasource.OpDelete, Old: tok.Old}
-		if err := s.pidx.MatchTokenSlot(probe, slot, func(m predindex.Match) bool {
+		if err := s.pidx.MatchToken(probe, func(m predindex.Match) bool {
 			if m.Aggregate {
 				oldMatch[m.TriggerID] = true
 			}
@@ -347,7 +347,7 @@ func (s *System) processAggregates(tok datasource.Token, slot int, sp *trace.Spa
 	}
 	if tok.Op != datasource.OpDelete && tok.New != nil {
 		probe := datasource.Token{SourceID: tok.SourceID, Op: datasource.OpInsert, New: tok.New}
-		if err := s.pidx.MatchTokenSlot(probe, slot, func(m predindex.Match) bool {
+		if err := s.pidx.MatchToken(probe, func(m predindex.Match) bool {
 			if m.Aggregate {
 				newMatch[m.TriggerID] = true
 			}
@@ -420,7 +420,7 @@ func (s *System) processAggregates(tok datasource.Token, slot int, sp *trace.Spa
 // incremental protocol creates/retracts root combinations at
 // maintenance time. Sources with no multi-variable triggers skip this
 // pass.
-func (s *System) maintainMemories(tok datasource.Token, slot int, sp *trace.Span) error {
+func (s *System) maintainMemories(tok datasource.Token, sp *trace.Span) error {
 	s.mu.RLock()
 	hasMulti := s.multiVarSources[tok.SourceID] > 0
 	s.mu.RUnlock()
@@ -430,7 +430,7 @@ func (s *System) maintainMemories(tok datasource.Token, slot int, sp *trace.Span
 	// Removals: old image matched (delete and update tokens).
 	if tok.Op != datasource.OpInsert && tok.Old != nil {
 		oldProbe := datasource.Token{SourceID: tok.SourceID, Op: datasource.OpDelete, Old: tok.Old}
-		err := s.pidx.MatchTokenSlot(oldProbe, slot, func(m predindex.Match) bool {
+		err := s.pidx.MatchToken(oldProbe, func(m predindex.Match) bool {
 			if !m.MultiVar {
 				return true
 			}
@@ -460,7 +460,7 @@ func (s *System) maintainMemories(tok datasource.Token, slot int, sp *trace.Span
 	// Additions: new image matches (insert and update tokens).
 	if tok.Op != datasource.OpDelete && tok.New != nil {
 		newProbe := datasource.Token{SourceID: tok.SourceID, Op: datasource.OpInsert, New: tok.New}
-		err := s.pidx.MatchTokenSlot(newProbe, slot, func(m predindex.Match) bool {
+		err := s.pidx.MatchToken(newProbe, func(m predindex.Match) bool {
 			if !m.MultiVar {
 				return true
 			}
@@ -519,7 +519,7 @@ func (s *System) comboRunner(lt catalog.LoadedTrigger, tok datasource.Token, sp 
 // fireMatches matches the token's effective image against the predicate
 // index (optionally one partition) and fires each matching trigger whose
 // fire mask accepts the token.
-func (s *System) fireMatches(tok datasource.Token, part, slot int, sp *trace.Span) error {
+func (s *System) fireMatches(tok datasource.Token, part int, sp *trace.Span) error {
 	var begin time.Time
 	if sp != nil {
 		begin = time.Now()
@@ -527,14 +527,14 @@ func (s *System) fireMatches(tok datasource.Token, part, slot int, sp *trace.Spa
 	var matched []predindex.Match
 	var err error
 	if part < 0 {
-		err = s.pidx.MatchTokenSlot(tok, slot, func(m predindex.Match) bool {
+		err = s.pidx.MatchToken(tok, func(m predindex.Match) bool {
 			if m.FireMask.Matches(tok) {
 				matched = append(matched, m)
 			}
 			return true
 		})
 	} else {
-		err = s.pidx.MatchTokenPartitionSlot(tok, part, slot, func(m predindex.Match) bool {
+		err = s.pidx.MatchTokenPartition(tok, part, func(m predindex.Match) bool {
 			if m.FireMask.Matches(tok) {
 				matched = append(matched, m)
 			}

@@ -198,15 +198,6 @@ type Options struct {
 	// RuntimeSampleEvery is the runtime telemetry sampling interval
 	// (GC pause, heap, allocs per token; default 5s).
 	RuntimeSampleEvery time.Duration
-	// ReconcileEvery is the phase-reconciliation epoch: how often hot
-	// counters' per-driver slices (predicate-index probe/match tallies,
-	// profiler sketch cells) fold into their base cells and refresh the
-	// reconciled readings that reorganization decisions and snapshots
-	// consume. Shorter epochs tighten the staleness bound the cost
-	// model sees; longer epochs cut fold work. 0 takes the default
-	// (100ms); negative disables the ticker (embedders may call
-	// System.Reconcile themselves).
-	ReconcileEvery time.Duration
 	// NodeID names this system instance in a multi-node deployment: it
 	// stamps /statusz and /loadz, is exchanged in the wire handshake,
 	// and marks the origin of forwarded tokens and replicated DDL.
@@ -345,8 +336,6 @@ type System struct {
 	elog          *eventlog.Log
 	sloEng        *slo.Engine
 	rts           *slo.RuntimeSampler
-	reconStop     chan struct{}
-	reconDone     chan struct{}
 	cTokensIn     *metrics.Counter
 	cTokensMatch  *metrics.Counter
 	cActionsRun   *metrics.Counter
@@ -460,20 +449,12 @@ func Open(opts Options) (*System, error) {
 	}
 
 	reg := datasource.NewRegistry()
-	// The driver count is resolved before the index and profiler exist:
-	// both size their phase-reconciled counters' slice geometry to one
-	// slice per driver slot. Synchronous systems have no drivers — every
-	// update carries NoSlot and stays on the plain path.
-	slots := 1
-	if !opts.Synchronous {
-		slots = taskq.ResolveDrivers(opts.Drivers, opts.ConcurrencyLevel)
-	}
 	var prof *profile.Profiler
 	if !opts.DisableProfiling {
-		prof = profile.NewSliced(opts.ProfileCapacity, slots)
+		prof = profile.New(opts.ProfileCapacity)
 	}
 	elog := eventlog.New(eventlog.Config{Out: opts.EventLogOut, Ring: opts.EventLogRing})
-	pidxOpts := []predindex.Option{predindex.WithDB(db), predindex.WithMetrics(met), predindex.WithSlots(slots)}
+	pidxOpts := []predindex.Option{predindex.WithDB(db), predindex.WithMetrics(met)}
 	switch {
 	case opts.Policy != nil:
 		pidxOpts = append(pidxOpts, predindex.WithPolicy(*opts.Policy))
@@ -597,26 +578,6 @@ func Open(opts Options) (*System, error) {
 		})
 	}
 	cat.Cache().SetObserver(cacheObserver{prof: prof, elog: elog})
-	if every := opts.ReconcileEvery; every >= 0 {
-		if every == 0 {
-			every = 100 * time.Millisecond
-		}
-		sys.reconStop = make(chan struct{})
-		sys.reconDone = make(chan struct{})
-		go func() {
-			defer close(sys.reconDone)
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					sys.Reconcile()
-				case <-sys.reconStop:
-					return
-				}
-			}
-		}()
-	}
 	sys.registerViews()
 	// Rebuild the multi-var bookkeeping for recovered triggers.
 	sys.rebuildMultiVar()
@@ -1063,17 +1024,6 @@ func (s *System) Drain() {
 	}
 }
 
-// Reconcile runs one phase-reconciliation epoch across every sliced
-// counter domain: the predicate index's probe/match tallies and the
-// profiler sketch fold their per-driver slices and refresh the
-// reconciled readings. The Open-started ticker (Options.ReconcileEvery)
-// calls this on its epoch; embedders that disabled the ticker call it
-// themselves (e.g. between deterministic test phases).
-func (s *System) Reconcile() {
-	s.pidx.Reconcile()
-	s.prof.Reconcile()
-}
-
 // Flush persists dirty pages to the disk manager.
 func (s *System) Flush() error { return s.bp.FlushAll() }
 
@@ -1095,10 +1045,6 @@ func (s *System) Close() error {
 	}
 	s.sloEng.Stop()
 	s.rts.Stop()
-	if s.reconStop != nil {
-		close(s.reconStop)
-		<-s.reconDone
-	}
 	if s.pool != nil {
 		s.pool.Close()
 	}
